@@ -51,15 +51,15 @@ class SegmentationResult:
 def convergence_indicator(
     u_new: ScalarField, u_old: ScalarField, v_new: ScalarField, v_old: ScalarField
 ) -> float:
-    """max of the relative sup-norm changes of u and v between iterations."""
+    """max of the relative sup-norm changes of u and v between iterations; a
+    zero change counts as 0, even against a zero iterate (an all-black image)."""
     same_grid(u_new, u_old, v_new, v_old)
-    un = u_new.max_abs()
-    vn = v_new.max_abs()
-    if un == 0.0 or vn == 0.0:
-        raise DegenerateInputError("relative change undefined for an identically zero iterate")
     du = float(np.max(np.abs(u_new.values - u_old.values)))
     dv = float(np.max(np.abs(v_new.values - v_old.values)))
-    return max(du / un, dv / vn)
+    un, vn = u_new.max_abs(), v_new.max_abs()
+    if (un == 0.0 and du > 0.0) or (vn == 0.0 and dv > 0.0):
+        raise DegenerateInputError("relative change undefined for an identically zero iterate")
+    return max(du / un if du else 0.0, dv / vn if dv else 0.0)
 
 
 def run(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .grid import ScalarField, grad_forward, laplacian, same_grid
+from .grid import ScalarField, difference_matrices, grad_forward, laplacian, same_grid
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -118,30 +118,15 @@ def mm_second_order_laplacian(v: ScalarField, params: ModelParams) -> float:
 
 
 def hessian_terms(v: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Discrete (v_xx, v_xy, v_yy) as flat arrays.
+    """Discrete (v_xx, v_xy, v_yy) = (-Dx^T Dx v, Dy Dx v, -Dy^T Dy v) as flat arrays.
 
-    The pure second derivatives use the same mirrored-boundary second
-    differences that the Laplacian is built from, so v_xx + v_yy equals the
-    Laplacian exactly; the mixed derivative uses forward-forward differencing.
+    The pure second derivatives are the two halves of the Laplacian
+    L = -(Dx^T Dx + Dy^T Dy), so v_xx + v_yy equals the Laplacian up to
+    rounding; the mixed derivative is forward-forward differencing.
     """
-    g = v.grid
-    a = v.as_matrix()
-    h2 = g.h**2
-
-    vxx = np.zeros_like(a)
-    vxx[:, 1:-1] = (a[:, 2:] - 2.0 * a[:, 1:-1] + a[:, :-2]) / h2
-    vxx[:, 0] = (a[:, 1] - a[:, 0]) / h2
-    vxx[:, -1] = (a[:, -2] - a[:, -1]) / h2
-
-    vyy = np.zeros_like(a)
-    vyy[1:-1, :] = (a[2:, :] - 2.0 * a[1:-1, :] + a[:-2, :]) / h2
-    vyy[0, :] = (a[1, :] - a[0, :]) / h2
-    vyy[-1, :] = (a[-2, :] - a[-1, :]) / h2
-
-    vxy = np.zeros_like(a)
-    vxy[:-1, :-1] = (a[1:, 1:] - a[1:, :-1] - a[:-1, 1:] + a[:-1, :-1]) / h2
-
-    return vxx.reshape(-1), vxy.reshape(-1), vyy.reshape(-1)
+    Dx, Dy = difference_matrices(v.grid)
+    dxv = Dx @ v.values
+    return -(Dx.T @ dxv), Dy @ dxv, -(Dy.T @ (Dy @ v.values))
 
 
 def hessian_sq(v: ScalarField) -> np.ndarray:

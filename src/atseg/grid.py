@@ -1,17 +1,19 @@
 """Rectangular grid, scalar/vector fields, and the discrete differential operators.
 
-The gradient uses one-sided (forward) differences with a zero at the last
-column/row, the divergence is its exact negative adjoint in the h^2-weighted
-inner product, and the Laplacian is the composition of the two.  This makes
-every operator built from them symmetric by construction, which the solvers
-rely on for exact energy descent.
+Every operator is a product with one set of cached sparse matrices: forward
+differences Dx, Dy (zero rows at the last column/row), the divergence -D^T as
+their exact negative adjoint in the h^2-weighted inner product, the Laplacian
+L = -(Dx^T Dx + Dy^T Dy) and L^2.  L and L^2 are symmetric by construction,
+which the solvers rely on for exact energy descent.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import GridMismatchError, InvalidInputError
 
@@ -117,9 +119,6 @@ class VectorField2:
     def x_matrix(self) -> np.ndarray:
         return self.x.reshape(self.grid.ny, self.grid.nx)
 
-    def y_matrix(self) -> np.ndarray:
-        return self.y.reshape(self.grid.ny, self.grid.nx)
-
 
 def same_grid(*fields) -> Grid2D:
     grids = {f.grid for f in fields}
@@ -139,39 +138,62 @@ def dot_vec(p: VectorField2, q: VectorField2) -> float:
     return grid.h**2 * float(np.dot(p.x, q.x) + np.dot(p.y, q.y))
 
 
+@functools.lru_cache(maxsize=8)
+def difference_matrices(grid: Grid2D):
+    """Sparse forward-difference matrices (Dx, Dy) on the flattened row-major grid."""
+    nx, ny, h = grid.nx, grid.ny, grid.h
+    n = nx * ny
+    idx = np.arange(n).reshape(ny, nx)
+
+    r = idx[:, :-1].ravel()
+    rows = np.concatenate([r, r])
+    cols = np.concatenate([r, idx[:, 1:].ravel()])
+    vals = np.concatenate([-np.ones(r.size), np.ones(r.size)]) / h
+    Dx = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    r = idx[:-1, :].ravel()
+    rows = np.concatenate([r, r])
+    cols = np.concatenate([r, idx[1:, :].ravel()])
+    vals = np.concatenate([-np.ones(r.size), np.ones(r.size)]) / h
+    Dy = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return Dx, Dy
+
+
+@functools.lru_cache(maxsize=8)
+def laplacian_matrix(grid: Grid2D) -> sp.csr_matrix:
+    """Symmetric Neumann Laplacian L = -(Dx^T Dx + Dy^T Dy)."""
+    Dx, Dy = difference_matrices(grid)
+    return (-(Dx.T @ Dx + Dy.T @ Dy)).tocsr()
+
+
+@functools.lru_cache(maxsize=8)
+def bilaplacian_matrix(grid: Grid2D) -> sp.csr_matrix:
+    """L @ L; equals L^T L because L is symmetric, hence positive semidefinite."""
+    L = laplacian_matrix(grid)
+    return (L @ L).tocsr()
+
+
 def grad_forward(f: ScalarField) -> VectorField2:
-    """Forward-difference gradient; last column (x) / last row (y) set to zero."""
-    g = f.grid
-    a = f.as_matrix()
-    gx = np.zeros((g.ny, g.nx))
-    gy = np.zeros((g.ny, g.nx))
-    gx[:, :-1] = (a[:, 1:] - a[:, :-1]) / g.h
-    gy[:-1, :] = (a[1:, :] - a[:-1, :]) / g.h
-    return VectorField2(g, gx.reshape(-1), gy.reshape(-1))
+    """Forward-difference gradient (Dx f, Dy f); last column (x) / last row (y) are zero."""
+    Dx, Dy = difference_matrices(f.grid)
+    return VectorField2(f.grid, Dx @ f.values, Dy @ f.values)
 
 
 def div_adjoint(p: VectorField2) -> ScalarField:
-    """Divergence defined as the exact negative adjoint of grad_forward.
+    """Divergence -(Dx^T p.x + Dy^T p.y), the exact negative adjoint of grad_forward.
 
-    The last column of p.x and last row of p.y are never read: grad_forward
-    writes zeros there, and the adjoint of a zero row is empty.
+    The last column of p.x and last row of p.y are never read: the matching
+    rows of Dx and Dy are empty.
     """
-    g = p.grid
-    px = p.x_matrix()
-    py = p.y_matrix()
-    d = np.zeros((g.ny, g.nx))
-    d[:, :-1] += px[:, :-1]
-    d[:, 1:] -= px[:, :-1]
-    d[:-1, :] += py[:-1, :]
-    d[1:, :] -= py[:-1, :]
-    return ScalarField(g, d.reshape(-1) / g.h)
+    Dx, Dy = difference_matrices(p.grid)
+    return ScalarField(p.grid, -(Dx.T @ p.x + Dy.T @ p.y))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    """Five-point Laplacian with mirrored (Neumann) boundary: div_adjoint(grad_forward(f))."""
-    return div_adjoint(grad_forward(f))
+    """Five-point Laplacian with mirrored (Neumann) boundary: L f = div_adjoint(grad_forward(f))."""
+    return ScalarField(f.grid, laplacian_matrix(f.grid) @ f.values)
 
 
 def bilaplacian(f: ScalarField) -> ScalarField:
-    """Laplacian applied twice; symmetric positive semidefinite as L^T L."""
-    return laplacian(laplacian(f))
+    """Laplacian applied twice, L^2 f; symmetric positive semidefinite as L^T L."""
+    return ScalarField(f.grid, bilaplacian_matrix(f.grid) @ f.values)

@@ -1,8 +1,8 @@
 """Assembly and solution of the three quadratic-subproblem linear systems.
 
 Each assembled matrix is the exact half-Hessian of the discrete energy the
-corresponding half-step minimizes, built from the adjoint-consistent
-difference operators, so it is symmetric positive definite by construction
+corresponding half-step minimizes, built from the difference matrices of
+atseg.grid, so it is symmetric positive definite by construction
 and every solve decreases that energy.
 """
 
@@ -15,46 +15,17 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .energy import BoundaryKind, ModelKind, ModelParams
+from .energy import SQRT2, BoundaryKind, ModelParams
 from .errors import DegenerateSystemError, InvalidInputError, LinearSolveError
-from .grid import Grid2D, ScalarField, grad_forward, same_grid
-
-SQRT2 = float(np.sqrt(2.0))
-
-
-@functools.lru_cache(maxsize=8)
-def difference_matrices(grid: Grid2D):
-    """Sparse forward-difference matrices (Dx, Dy) on the flattened row-major grid."""
-    nx, ny, h = grid.nx, grid.ny, grid.h
-    n = nx * ny
-    idx = np.arange(n).reshape(ny, nx)
-
-    r = idx[:, :-1].ravel()
-    rows = np.concatenate([r, r])
-    cols = np.concatenate([r, idx[:, 1:].ravel()])
-    vals = np.concatenate([-np.ones(r.size), np.ones(r.size)]) / h
-    Dx = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    r = idx[:-1, :].ravel()
-    rows = np.concatenate([r, r])
-    cols = np.concatenate([r, idx[1:, :].ravel()])
-    vals = np.concatenate([-np.ones(r.size), np.ones(r.size)]) / h
-    Dy = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return Dx, Dy
-
-
-@functools.lru_cache(maxsize=8)
-def laplacian_matrix(grid: Grid2D) -> sp.csr_matrix:
-    """Symmetric Neumann Laplacian L = -(Dx^T Dx + Dy^T Dy)."""
-    Dx, Dy = difference_matrices(grid)
-    return (-(Dx.T @ Dx + Dy.T @ Dy)).tocsr()
-
-
-@functools.lru_cache(maxsize=8)
-def bilaplacian_matrix(grid: Grid2D) -> sp.csr_matrix:
-    """L @ L; equals L^T L because L is symmetric, hence positive semidefinite."""
-    L = laplacian_matrix(grid)
-    return (L @ L).tocsr()
+from .grid import (
+    Grid2D,
+    ScalarField,
+    bilaplacian_matrix,
+    difference_matrices,
+    grad_forward,
+    laplacian_matrix,
+    same_grid,
+)
 
 
 @functools.lru_cache(maxsize=8)
@@ -71,8 +42,6 @@ class LinearSystem:
 
     matrix: sp.spmatrix
     rhs: ScalarField
-    symmetric: bool = True
-    spd: bool = True
 
     @property
     def grid(self) -> Grid2D:
@@ -105,7 +74,7 @@ def assemble_u_system(v: ScalarField, g: ScalarField, params: ModelParams) -> Li
     W = sp.diags(v.values**2)
     A = 2.0 * params.alpha_u * (Dx.T @ W @ Dx + Dy.T @ W @ Dy)
     if params.eta > 0:
-        A = A + 2.0 * params.eta * (Dx.T @ Dx + Dy.T @ Dy)
+        A = A - 2.0 * params.eta * laplacian_matrix(grid)
     A = A + 2.0 * params.gamma_u * sp.identity(grid.npoints)
     rhs = ScalarField(grid, 2.0 * params.gamma_u * g.values)
     return LinearSystem(A.tocsr(), rhs)
@@ -150,8 +119,7 @@ def assemble_v_system_second_order(u: ScalarField, params: ModelParams) -> Linea
         interior = np.ones(grid.npoints)
         interior[bidx] = 0.0
         P = sp.diags(interior)
-        ind = np.zeros(grid.npoints)
-        ind[bidx] = 1.0
+        ind = 1.0 - interior
         b = interior * (b - A @ ind)
         b[bidx] = 1.0
         A = P @ A @ P + sp.diags(ind)

@@ -57,6 +57,13 @@ class TestRun:
         assert np.allclose(res.u.values, 0.5, atol=1e-12)
         assert np.allclose(res.v.values, 1.0, atol=1e-10)
 
+    def test_zero_image_converges_immediately(self):
+        g = ScalarField.constant(Grid2D.for_image(16, 16), 0.0)
+        res = run(g, params())
+        assert res.report.converged
+        assert res.report.iterations == 1
+        assert np.all(res.u.values == 0.0)
+
     def test_edge_phantom_first_order(self):
         from atseg.edges import level_mask
 

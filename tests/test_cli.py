@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from atseg.altmin import run
 from atseg.cli import main
+from atseg.energy import ModelParams
 from atseg.grid import Grid2D, ScalarField
 from atseg.imgio import read_f64, read_history, read_pgm, write_pgm
 
@@ -31,6 +33,13 @@ class TestSegment:
         assert len(history) == 1
         for name in ("u.pgm", "v.pgm", "v.f64", "mask.pgm"):
             assert (out / name).exists()
+
+    def test_all_black_image(self, tmp_path):
+        img = tmp_path / "black.pgm"
+        write_constant_pgm(img, value=0.0)
+        out = tmp_path / "out"
+        assert main(["segment", str(img), "--output-dir", str(out)]) == 0
+        assert len(read_history((out / "history.csv").read_bytes())) == 1
 
     def test_edge_band_appears_in_v(self, tmp_path):
         img = synth_phantom(tmp_path, kind="oned", nx=48, ny=48, sigma=0)
@@ -146,6 +155,23 @@ class TestSweep:
             eps, total, mm, ratio, its = ln.split(",")
             assert float(total) < 1e-12
             assert float(mm) < 1e-12
+
+    def test_each_eps_gets_its_own_default_eta(self, tmp_path):
+        img = synth_phantom(tmp_path, kind="oned", nx=32, ny=8, sigma=0)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", str(img), "--eps-list", "0.08,0.04", "--output", str(out), "--solver", "direct"])
+        assert rc == 0
+        g = read_pgm(img.read_bytes())
+        for row in out.read_text().strip().splitlines()[1:]:
+            eps, total = (float(x) for x in row.split(",")[:2])
+            res = run(g, ModelParams(alpha=1e-2, beta=0.3, gamma=1e-3, eps=eps), solver="direct")
+            assert total == res.report.entries[-1].breakdown.total
+
+    def test_explicit_eta_checked_against_each_eps(self, tmp_path):
+        img = tmp_path / "c.pgm"
+        write_constant_pgm(img)
+        # 0.05 < 0.1 and 0.2, though not below the unused --eps default (3e-2).
+        assert main(["sweep", str(img), "--eps-list", "0.2,0.1", "--eta", "0.05"]) == 0
 
     def test_edge_phantom_trend(self, tmp_path):
         img = synth_phantom(tmp_path, kind="oned", nx=128, ny=16, sigma=0)
