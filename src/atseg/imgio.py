@@ -69,9 +69,14 @@ def read_pgm(data: bytes) -> ScalarField:
 
     n = nx * ny
     if magic == b"P2":
+        if n > len(data):  # every pixel token takes at least one byte
+            raise PgmParseError(f"truncated payload: need {n} pixels, have {len(data)} bytes", len(data))
         pixels = np.empty(n, dtype=np.int64)
         for i in range(n):
-            pixels[i] = toks.next_int(f"pixel {i}")
+            pixel = toks.next_int(f"pixel {i}")
+            if not 0 <= pixel <= maxval:
+                raise PgmParseError(f"pixel {i} outside [0, {maxval}]", toks.token_start)
+            pixels[i] = pixel
     else:
         # exactly one whitespace byte separates maxval from the payload
         if toks.pos >= len(data) or not data[toks.pos : toks.pos + 1].isspace():
@@ -156,7 +161,10 @@ def write_history(report: IterationReport) -> bytes:
 
 def read_history(data: bytes) -> tuple[IterationEntry, ...]:
     """Parse rows written by write_history; the header line is required."""
-    text = data.decode("ascii")
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError:
+        raise InvalidInputError("history is not ASCII text") from None
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != HISTORY_HEADER:
         raise InvalidInputError("missing or unexpected history header")
@@ -165,8 +173,11 @@ def read_history(data: bytes) -> tuple[IterationEntry, ...]:
         parts = ln.split(",")
         if len(parts) != 7:
             raise InvalidInputError(f"malformed history row: {ln!r}")
-        k = int(parts[0])
-        e_k, total, coupled, mm, grad_perturb, fidelity = map(float, parts[1:])
+        try:
+            k = int(parts[0])
+            e_k, total, coupled, mm, grad_perturb, fidelity = map(float, parts[1:])
+        except ValueError:
+            raise InvalidInputError(f"non-numeric field in history row: {ln!r}") from None
         bd = EnergyBreakdown(coupled=coupled, mm=mm, grad_perturb=grad_perturb, fidelity=fidelity)
         if bd.total != total:
             raise InvalidInputError(f"inconsistent total in row {k}")

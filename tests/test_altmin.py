@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from atseg.altmin import convergence_indicator, run
-from atseg.energy import ModelKind, ModelParams, total_energy
+from atseg.energy import SQRT2, ModelKind, ModelParams, total_energy
 from atseg.errors import DegenerateInputError, InvalidInputError
 from atseg.grid import Grid2D, ScalarField
-from atseg.linsolve import assemble_u_system, assemble_v_system_first_order, solve
+from atseg.linsolve import (
+    assemble_u_system,
+    assemble_v_system_first_order,
+    assemble_v_system_second_order,
+    solve,
+)
 from atseg.synth import PhantomKind, PhantomSpec, generate
 
 
@@ -154,3 +159,33 @@ class TestRun:
         bad = ScalarField.constant(Grid2D.for_image(8, 8), 1.5)
         with pytest.raises(InvalidInputError):
             run(bad, params())
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_half_steps_descend_on_the_cg_path(model):
+    # On one half-step the energy is h^2 (x^T A x / 2 - b^T x) + const, so a
+    # solve with |b - A x| <= tol |b| ends at most h^2 (tol |b|)^2 / (2 lambda_min)
+    # above the exact minimizer, which is no higher than the previous iterate.
+    # lambda_min is bounded below by the shift of each system (the rest is PSD).
+    g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=48, ny=48, noise_sigma=0.1, seed=3))
+    p = ModelParams(alpha=0.1, beta=0.3, gamma=100.0, eps=3e-2, intensity_scale=1.0, model=model)
+    if model is ModelKind.FIRST_ORDER_AT:
+        assemble_v, shift_v = assemble_v_system_first_order, p.beta / p.eps
+    else:
+        assemble_v, shift_v = assemble_v_system_second_order, p.beta / (SQRT2 * p.eps)
+    solver_tol = 1e-6
+
+    def step(sys, x0, shift):
+        slack = g.grid.h**2 * (solver_tol * np.linalg.norm(sys.rhs.values)) ** 2 / (2.0 * shift)
+        return solve(sys, tol=solver_tol, method="cg", x0=x0).field, slack
+
+    u, v = g, ScalarField.constant(g.grid, 1.0)
+    total = total_energy(u, v, g, p).total
+    for _ in range(6):
+        v, slack = step(assemble_v(u, p), v, shift_v)
+        mid = total_energy(u, v, g, p).total
+        assert mid <= total + slack
+        u, slack = step(assemble_u_system(v, g, p), u, 2.0 * p.gamma_u)
+        total_new = total_energy(u, v, g, p).total
+        assert total_new <= mid + slack
+        total = total_new

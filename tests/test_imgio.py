@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atseg.altmin import IterationEntry, IterationReport
 from atseg.energy import EnergyBreakdown
-from atseg.errors import InvalidInputError, PgmParseError
+from atseg.errors import AtsegError, InvalidInputError, PgmParseError
 from atseg.grid import Grid2D, ScalarField
 from atseg.imgio import (
+    F64_MAGIC,
+    HISTORY_HEADER,
     read_f64,
     read_history,
     read_pgm,
@@ -179,3 +183,21 @@ class TestHistoryCsv:
     def test_malformed_row(self):
         with pytest.raises(InvalidInputError):
             read_history(b"k,e_k,total,coupled,mm,grad_perturb,fidelity\n1,2,3\n")
+
+
+# Arbitrary bytes, and bytes behind each format's own opening so that parsing
+# gets past the first check.
+PREFIXES = st.sampled_from([b"", b"P2\n", b"P5\n", b"P2\n3 2\n255\n", b"P5\n2 2\n255\n", F64_MAGIC,
+                            F64_MAGIC + bytes([2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]),
+                            HISTORY_HEADER.encode() + b"\n"])
+HISTORY_CHARS = st.text(alphabet="0123456789.,-+einfa_ \n\xff", max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PREFIXES, st.one_of(st.binary(max_size=64), HISTORY_CHARS.map(lambda t: t.encode("utf-8"))))
+def test_readers_raise_only_typed_errors(prefix, tail):
+    for reader in (read_pgm, read_f64, read_history):
+        try:
+            reader(prefix + tail)
+        except AtsegError:
+            pass

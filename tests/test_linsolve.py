@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
+from atseg import linsolve
 from atseg.energy import BoundaryKind, ModelKind, ModelParams
 from atseg.errors import DegenerateSystemError, InvalidInputError
 from atseg.grid import Grid2D, ScalarField
@@ -13,6 +15,7 @@ from atseg.linsolve import (
     boundary_indices,
     solve,
 )
+from atseg.synth import PhantomKind, PhantomSpec, generate
 
 SQRT2 = np.sqrt(2.0)
 
@@ -189,3 +192,33 @@ class TestSolve:
         x = ScalarField(grid, rng.random(25))
         sys = assemble_v_system_first_order(ScalarField.constant(grid, 0.2), params())
         assert np.allclose(sys.apply(x).values, sys.matrix @ x.values)
+
+
+class TestDirectConvergence:
+    def test_tol_below_rounding_is_met_at_the_rounding_floor(self):
+        # A 512-wide stiff fourth-order system: |A||x| is ~1e8 times |b|, so no
+        # float64 vector has a relative residual near 1e-10.
+        g, _ = generate(PhantomSpec(PhantomKind.ONED_STRUCTURE, nx=512, ny=32, noise_sigma=0.0))
+        sys = assemble_v_system_second_order(g, params(eps=8e-2, model=ModelKind.SECOND_ORDER_LAPLACIAN))
+        r = solve(sys, tol=1e-10, method="direct")
+        assert r.converged and r.residual > 1e-10
+        A, x, b = sys.matrix, r.field.values, sys.rhs.values
+        backward = np.abs(b - A @ x) / (abs(A) @ np.abs(x) + np.abs(b))
+        assert backward.max() <= 1e-15
+
+    def test_residual_above_tol_and_rounding_is_unconverged(self, monkeypatch):
+        # A factorization whose solutions are off by a fixed 1e-8: refinement
+        # cannot remove it, and the residual is far above rounding.
+        class Inexact:
+            def __init__(self, A):
+                self.A = A
+
+            def solve(self, rhs):
+                return spsolve(self.A, rhs) + 1e-8
+
+        monkeypatch.setattr(linsolve, "splu", lambda A, **kw: Inexact(A))
+        grid = Grid2D.for_image(8, 8)
+        sys = assemble_u_system(ScalarField.constant(grid, 1.0), step_image(grid), params())
+        r = solve(sys, tol=1e-10, method="direct")
+        assert 1e-10 < r.residual < 1e-6
+        assert not r.converged
