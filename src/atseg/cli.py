@@ -41,12 +41,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="inner linear solver")
 
 
-def _params(args) -> ModelParams:
+def _params(args, eps: float) -> ModelParams:
     return ModelParams(
         alpha=args.alpha,
         beta=args.beta,
         gamma=args.gamma,
-        eps=args.eps,
+        eps=eps,
         eta=args.eta,
         model=ModelKind(args.model),
         bc=BoundaryKind(args.bc),
@@ -108,7 +108,7 @@ def _read_field(path: Path) -> ScalarField:
 
 def cmd_segment(args) -> int:
     g = _read_field(args.input)
-    params = _params(args)
+    params = _params(args, args.eps)
     result = altmin.run(g, params, tol=args.tol, maxit=args.maxit, solver=args.solver)
 
     outdir = args.output_dir
@@ -195,11 +195,7 @@ def cmd_sweep(args) -> int:
         out.write("eps,min_total,mm_at_convergence,gagliardo_ratio,iterations\n")
         out.flush()
         for eps in eps_values:
-            params = ModelParams(
-                alpha=args.alpha, beta=args.beta, gamma=args.gamma, eps=eps, eta=args.eta,
-                model=ModelKind(args.model), bc=BoundaryKind(args.bc),
-                intensity_scale=args.intensity_scale,
-            )
+            params = _params(args, eps)
             result = altmin.run(g, params, tol=args.tol, maxit=args.maxit, solver=args.solver)
             last = result.report.entries[-1]
             ratio = gagliardo_ratio(result.v, params)
@@ -218,7 +214,7 @@ def cmd_energy(args) -> int:
     g = _read_field(args.input)
     u = _read_field(args.u) if args.u is not None else g
     v = _read_field(args.v) if args.v is not None else ScalarField.constant(g.grid, 1.0)
-    params = _params(args)
+    params = _params(args, args.eps)
     b = total_energy(u, v, g, params)
     print("coupled,mm,grad_perturb,fidelity,total")
     print(f"{b.coupled:.17g},{b.mm:.17g},{b.grad_perturb:.17g},{b.fidelity:.17g},{b.total:.17g}")

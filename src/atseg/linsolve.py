@@ -5,11 +5,12 @@ corresponding half-step minimizes, built from the difference matrices of
 atseg.grid, so it is symmetric positive definite by construction
 and every solve decreases that energy.
 
-Solver policy: sparse LU up to 4096 unknowns; above that, conjugate
+Solver policy: sparse LU up to 4096 unknowns; above that, scipy's conjugate
 gradients preconditioned by Jacobi when the matrix is diagonally dominant
 (the u-system, the first-order v-system) and by a symmetric geometric
 multigrid V-cycle otherwise (the fourth-order v-system, whose condition
-number grows like h^-4).
+number grows like h^-4).  Either way a solve is judged by the true residual
+of the field it returns.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .energy import SQRT2, BoundaryKind, ModelParams
 from .errors import DegenerateSystemError, InvalidInputError, LinearSolveError
@@ -174,11 +175,20 @@ def _rounding_floor(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> float:
     entry of b - A x takes one rounding per term (at most the row's nonzeros
     plus one), each up to eps of |A||x| + |b|."""
     terms = 1 + int(np.max(sp.csr_matrix(A).getnnz(axis=1)))
-    return terms * np.finfo(float).eps * float(np.linalg.norm(abs(A) @ np.abs(x) + np.abs(b)))
+    return terms * np.finfo(float).eps * float(np.linalg.norm(_abs(A) @ np.abs(x) + np.abs(b)))
+
+
+def _abs(A: sp.spmatrix) -> sp.spmatrix:
+    """|A|, leaving A as it was: abs() sorts the indices of a CSR matrix in
+    place, which changes the rounding of every later product with it, so a
+    residual recomputed after solve would no longer be the one reported."""
+    B = A.copy()
+    np.abs(B.data, out=B.data)
+    return B
 
 
 def _abs_row_sums(A: sp.spmatrix) -> np.ndarray:
-    return abs(A) @ np.ones(A.shape[1])
+    return _abs(A) @ np.ones(A.shape[1])
 
 
 def multigrid_preconditioner(A: sp.csr_matrix, grid: Grid2D):
@@ -227,15 +237,18 @@ def solve(
 ) -> SolveResult:
     """Solve an SPD system to relative residual <= tol.
 
-    method "direct" uses a sparse LU factorization, "cg" preconditioned
-    conjugate gradients, "auto" picks direct for grids up to 4096 unknowns and
-    cg beyond.  CG is preconditioned by Jacobi when every row of the matrix is
-    diagonally dominant and by a multigrid V-cycle otherwise.  Hitting maxit
-    returns the best iterate with converged=False rather than raising.
+    method "direct" uses a sparse LU factorization and one refinement step,
+    "cg" scipy's preconditioned conjugate gradients, "auto" picks direct for
+    grids up to 4096 unknowns and cg beyond.  CG is preconditioned by Jacobi
+    when every row of the matrix is diagonally dominant and by a multigrid
+    V-cycle otherwise; hitting maxit returns its last iterate with
+    converged=False rather than raising.
 
-    A direct solve counts as converged when it meets tol or when its residual
-    is within the rounding error of evaluating b - A x: no float64 vector
-    does better, and on stiff fourth-order systems that floor lies above 1e-10.
+    Both methods report the true residual ||b - A x|| / ||b|| and count as
+    converged when it meets tol or lies within the rounding error of
+    evaluating b - A x: no float64 vector does better, and on stiff
+    fourth-order systems that floor lies above 1e-10.  A non-finite residual
+    (CG breaking down on an indefinite matrix) raises LinearSolveError.
     """
     if tol <= 0:
         raise InvalidInputError("solver tolerance must be positive")
@@ -254,44 +267,25 @@ def solve(
         lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
         x = lu.solve(b)
         r = b - A @ x
-        res = float(np.linalg.norm(r)) / scale
-        if res > tol:  # one step of iterative refinement
+        if float(np.linalg.norm(r)) / scale > tol:  # one step of iterative refinement
             x = x + lu.solve(r)
-            res = float(np.linalg.norm(A @ x - b)) / scale
-        converged = res <= tol or res <= _rounding_floor(A, x, b) / scale
-        return SolveResult(ScalarField(sys.grid, x), res, 1, converged)
-
-    if maxit is None:
-        maxit = 10 * n
-    x = np.zeros(n) if x0 is None else x0.values.copy()
-    r = b - A @ x
-    res0 = float(np.linalg.norm(r)) / scale
-    if res0 <= tol:
-        return SolveResult(ScalarField(sys.grid, x), res0, 0, True)
-    diag = A.diagonal()
-    if np.all(2.0 * np.abs(diag) >= _abs_row_sums(A)):
-        precond = functools.partial(np.multiply, 1.0 / diag)
+        iterations = 1
     else:
-        precond = multigrid_preconditioner(A, sys.grid)
-    z = precond(r)
-    p = z.copy()
-    rz = float(r @ z)
-    best_x, best_res = x.copy(), res0
-    for k in range(1, maxit + 1):
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0:
-            raise LinearSolveError("matrix is not positive definite", residual=best_res, iterations=k)
-        a = rz / pAp
-        x += a * p
-        r -= a * Ap
-        res = float(np.linalg.norm(r)) / scale
-        if res < best_res:
-            best_x, best_res = x.copy(), res
-        if res <= tol:
-            return SolveResult(ScalarField(sys.grid, x), res, k, True)
-        z = precond(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return SolveResult(ScalarField(sys.grid, best_x), best_res, maxit, False)
+        diag = A.diagonal()
+        if np.all(2.0 * np.abs(diag) >= _abs_row_sums(A)):
+            precond = functools.partial(np.multiply, 1.0 / diag)
+        else:
+            precond = multigrid_preconditioner(A, sys.grid)
+        steps = []  # cg hands the callback its iterate once per iteration
+        x, _ = cg(
+            A, b, x0=None if x0 is None else x0.values, rtol=tol, atol=0.0,
+            maxiter=10 * n if maxit is None else maxit,
+            M=LinearOperator(A.shape, matvec=precond, dtype=float), callback=steps.append,
+        )
+        iterations = len(steps)
+
+    res = float(np.linalg.norm(b - A @ x)) / scale
+    if not np.isfinite(res):
+        raise LinearSolveError("matrix is not positive definite", residual=res, iterations=iterations)
+    converged = res <= tol or res <= _rounding_floor(A, x, b) / scale
+    return SolveResult(ScalarField(sys.grid, x), res, iterations, converged)

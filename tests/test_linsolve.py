@@ -5,7 +5,7 @@ from scipy.sparse.linalg import spsolve
 
 from atseg import linsolve
 from atseg.energy import BoundaryKind, ModelKind, ModelParams
-from atseg.errors import DegenerateSystemError, InvalidInputError
+from atseg.errors import DegenerateSystemError, InvalidInputError, LinearSolveError
 from atseg.grid import Grid2D, ScalarField
 from atseg.linsolve import (
     LinearSystem,
@@ -186,12 +186,35 @@ class TestSolve:
         with pytest.raises(InvalidInputError):
             solve(sys, method="magic")
 
+    @pytest.mark.parametrize("offdiag", [0.0, 0.3])
+    def test_indefinite_system_raises_under_cg(self, offdiag):
+        # Diagonally dominant, so CG takes Jacobi; with b = 1 the preconditioned
+        # r.z is 0 and the iterates break down to NaN.
+        grid = Grid2D(8, 8, 1 / 7)
+        d = np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
+        A = sp.diags([np.full(63, offdiag), d, np.full(63, offdiag)], [-1, 0, 1], format="csr")
+        with np.errstate(all="ignore"), pytest.raises(LinearSolveError):
+            solve(LinearSystem(A, ScalarField.constant(grid, 1.0)), method="cg")
+
     def test_apply_is_the_matrix_action(self):
         rng = np.random.default_rng(6)
         grid = Grid2D(5, 5, 0.25)
         x = ScalarField(grid, rng.random(25))
         sys = assemble_v_system_first_order(ScalarField.constant(grid, 0.2), params())
         assert np.allclose(sys.apply(x).values, sys.matrix @ x.values)
+
+
+@pytest.mark.parametrize("method", ["direct", "cg"])
+def test_reported_residual_is_the_true_residual(method):
+    # The criterion-8 strip v-system: CG's recursive residual falls below tol
+    # while the true one stays near the rounding floor, ~1e-8.
+    g, _ = generate(PhantomSpec(PhantomKind.ONED_STRUCTURE, nx=512, ny=32, noise_sigma=0.0))
+    sys = assemble_v_system_second_order(g, params(eps=8e-2, model=ModelKind.SECOND_ORDER_LAPLACIAN))
+    r = solve(sys, tol=1e-10, method=method)
+    b = sys.rhs.values
+    true = np.linalg.norm(b - sys.matrix @ r.field.values) / np.linalg.norm(b)
+    assert r.residual == pytest.approx(true, rel=1e-12)
+    assert r.converged
 
 
 class TestDirectConvergence:
