@@ -17,6 +17,7 @@ from .energy import EnergyBreakdown, ModelKind, ModelParams, total_energy
 from .errors import DegenerateInputError, InvalidInputError, LinearSolveError
 from .grid import ScalarField, same_grid
 from .linsolve import (
+    SolveResult,
     assemble_u_system,
     assemble_v_system_first_order,
     assemble_v_system_second_order,
@@ -62,6 +63,17 @@ def convergence_indicator(
     return max(du / un if du else 0.0, dv / vn if dv else 0.0)
 
 
+def _solved(res: SolveResult, what: str, k: int) -> ScalarField:
+    """The field of a converged inner solve; LinearSolveError if it stalled."""
+    if not res.converged:
+        raise LinearSolveError(
+            f"{what} solve stalled at outer iteration {k} (residual {res.residual:.3e})",
+            residual=res.residual,
+            iterations=k,
+        )
+    return res.field
+
+
 def run(
     g: ScalarField,
     params: ModelParams,
@@ -78,7 +90,7 @@ def run(
     inner solve fails to converge; reaching maxit is not an error and is
     reported through report.converged.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidInputError("tolerance must be positive")
     if maxit < 1:
         raise InvalidInputError("maxit must be at least 1")
@@ -98,24 +110,8 @@ def run(
     entries: list[IterationEntry] = []
     converged = False
     for k in range(1, maxit + 1):
-        vres = solve(assemble_v(u, params), tol=solver_tol, method=solver, x0=v)
-        if not vres.converged:
-            raise LinearSolveError(
-                f"edge-field solve stalled at outer iteration {k} (residual {vres.residual:.3e})",
-                residual=vres.residual,
-                iterations=k,
-            )
-        v_new = vres.field
-
-        ures = solve(assemble_u_system(v_new, g, params), tol=solver_tol, method=solver, x0=u)
-        if not ures.converged:
-            raise LinearSolveError(
-                f"image solve stalled at outer iteration {k} (residual {ures.residual:.3e})",
-                residual=ures.residual,
-                iterations=k,
-            )
-        u_new = ures.field
-
+        v_new = _solved(solve(assemble_v(u, params), tol=solver_tol, method=solver, x0=v), "edge-field", k)
+        u_new = _solved(solve(assemble_u_system(v_new, g, params), tol=solver_tol, method=solver, x0=u), "image", k)
         e_k = convergence_indicator(u_new, u, v_new, v)
         entries.append(IterationEntry(k, e_k, total_energy(u_new, v_new, g, params)))
         u, v = u_new, v_new

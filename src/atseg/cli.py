@@ -31,10 +31,14 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, default=3e-2, help="edge width parameter")
     p.add_argument("--eta", type=float, default=None,
                    help="gradient perturbation weight (default: eps^2)")
-    p.add_argument("--bc", choices=["neumann", "dirichlet1"], default="neumann",
-                   help="boundary handling for the second-order edge system")
     p.add_argument("--intensity-scale", type=float, default=255.0,
                    help="intensity range alpha/gamma are quoted for (255 = 8-bit convention)")
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    _add_model_flags(p)
+    p.add_argument("--bc", choices=["neumann", "dirichlet1"], default="neumann",
+                   help="boundary handling for the second-order edge system")
     p.add_argument("--tol", type=float, default=1e-4, help="stop when e_k drops below this")
     p.add_argument("--maxit", type=int, default=500, help="outer iteration cap")
     p.add_argument("--solver", choices=["auto", "cg", "direct"], default="auto",
@@ -65,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=edges.DEFAULT_THRESHOLD,
                    help="level-set threshold for mask.pgm")
     p.add_argument("--maxval", type=int, default=255, help="maxval of written PGMs")
-    _add_model_flags(p)
+    _add_run_flags(p)
+    p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("synth", help="write a synthetic phantom and its ground truth")
     p.add_argument("output", type=Path, help="output PGM path (sidecar written alongside)")
@@ -77,24 +82,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--edge-fraction", type=float, default=0.5)
     p.add_argument("--maxval", type=int, default=255)
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("profile", help="emit the 1D optimal transition profile and its constants")
     p.add_argument("--output", type=Path, default=None, help="CSV of (t, f(t)); stdout when omitted")
     p.add_argument("--tmax", type=float, default=50.0)
     p.add_argument("--step", type=float, default=1e-3)
+    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("sweep", help="run segment over a descending list of eps values")
     p.add_argument("input", type=Path)
     p.add_argument("--eps-list", type=str, required=True,
                    help="comma-separated descending eps values (at least two)")
     p.add_argument("--output", type=Path, default=None, help="CSV output; stdout when omitted")
-    _add_model_flags(p)
+    _add_run_flags(p)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("energy", help="print the energy breakdown for given fields")
     p.add_argument("input", type=Path, help="data image g (PGM)")
     p.add_argument("--u", type=Path, default=None, help="clean image u (PGM or .f64); default g")
     p.add_argument("--v", type=Path, default=None, help="edge field v (PGM or .f64); default 1")
     _add_model_flags(p)
+    p.set_defaults(func=cmd_energy, bc="neumann")  # total_energy does not read bc
 
     return parser
 
@@ -223,15 +232,8 @@ def cmd_energy(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "segment": cmd_segment,
-        "synth": cmd_synth,
-        "profile": cmd_profile,
-        "sweep": cmd_sweep,
-        "energy": cmd_energy,
-    }
     try:
-        return handlers[args.command](args)
+        return args.func(args)
     except (AtsegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

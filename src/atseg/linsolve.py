@@ -72,20 +72,16 @@ def assemble_u_system(v: ScalarField, g: ScalarField, params: ModelParams) -> Li
     """System for the image half-step: descent for
     alpha*int v^2|grad u|^2 + eta*int|grad u|^2 + gamma*int(u-g)^2.
 
-    A = 2*alpha*D^T diag(v^2) D + 2*eta*D^T D + 2*gamma*I, b = 2*gamma*g
-    (weights on the normalized-intensity scale).
+    A = D^T diag(2*alpha*v^2 + 2*eta) D + 2*gamma*I, b = 2*gamma*g, with D the
+    stacked gradient [Dx; Dy] (weights on the normalized-intensity scale).
     """
     grid = same_grid(v, g)
     if params.gamma <= 0:
         raise DegenerateSystemError("gamma must be positive: the u-system is singular without fidelity")
-    Dx, Dy = difference_matrices(grid)
-    W = sp.diags(v.values**2)
-    A = 2.0 * params.alpha_u * (Dx.T @ W @ Dx + Dy.T @ W @ Dy)
-    if params.eta > 0:
-        A = A - 2.0 * params.eta * laplacian_matrix(grid)
-    A = A + 2.0 * params.gamma_u * sp.identity(grid.npoints)
-    rhs = ScalarField(grid, 2.0 * params.gamma_u * g.values)
-    return LinearSystem(A.tocsr(), rhs)
+    D = sp.vstack(difference_matrices(grid), format="csr")
+    w = 2.0 * params.alpha_u * v.values**2 + 2.0 * params.eta
+    A = D.T @ sp.diags(np.concatenate([w, w])) @ D + 2.0 * params.gamma_u * sp.identity(grid.npoints)
+    return LinearSystem(A.tocsr(), ScalarField(grid, 2.0 * params.gamma_u * g.values))
 
 
 def _gradient_weight(u: ScalarField, params: ModelParams) -> np.ndarray:
@@ -247,10 +243,11 @@ def solve(
     Both methods report the true residual ||b - A x|| / ||b|| and count as
     converged when it meets tol or lies within the rounding error of
     evaluating b - A x: no float64 vector does better, and on stiff
-    fourth-order systems that floor lies above 1e-10.  A non-finite residual
-    (CG breaking down on an indefinite matrix) raises LinearSolveError.
+    fourth-order systems that floor lies above 1e-10.  An exactly singular
+    factor, or a non-finite residual (CG breaking down on an indefinite
+    matrix), raises LinearSolveError.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidInputError("solver tolerance must be positive")
     if method not in ("auto", "direct", "cg"):
         raise InvalidInputError(f"unknown solver method {method!r}")
@@ -264,7 +261,10 @@ def solve(
     scale = bnorm if bnorm > 0 else 1.0
 
     if method == "direct":
-        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        try:
+            lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise LinearSolveError(f"direct solve failed: {exc}") from None
         x = lu.solve(b)
         r = b - A @ x
         if float(np.linalg.norm(r)) / scale > tol:  # one step of iterative refinement

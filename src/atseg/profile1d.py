@@ -59,6 +59,8 @@ class Profile1D:
 
 def sample_closed_form(T: float = 50.0, step: float = 1e-3, d: float = 0.0) -> Profile1D:
     """Closed-form profile sampled on [0, T]."""
+    if not (0 < T < np.inf and 0 < step < np.inf):
+        raise InvalidInputError(f"T and step must be positive and finite, got T={T}, step={step}")
     n = int(round(T / step)) + 1
     t = np.arange(n) * step
     return Profile1D(closed_form_profile(t, d), step, d)

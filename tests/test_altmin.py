@@ -160,6 +160,12 @@ class TestRun:
         with pytest.raises(InvalidInputError):
             run(bad, params())
 
+    def test_nan_tolerance_rejected(self):
+        # "tol <= 0" is false for nan, and e_k < nan never stops the loop
+        g = ScalarField.constant(Grid2D.for_image(8, 8), 0.5)
+        with pytest.raises(InvalidInputError):
+            run(g, params(), tol=float("nan"))
+
 
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_half_steps_descend_on_the_cg_path(model):

@@ -199,3 +199,24 @@ class TestEnergy:
         assert fid == 0.0 and mm == 0.0
         assert coupled > 0
         assert total == coupled + mm + gp + fid
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--solver", "direct"), ("--tol", "1e-3"), ("--maxit", "3"), ("--bc", "dirichlet1")]
+    )
+    def test_solver_flags_are_not_accepted(self, tmp_path, flag, value):
+        # energy runs no solve, so it takes no solver or boundary flags
+        img = tmp_path / "c.pgm"
+        write_constant_pgm(img)
+        with pytest.raises(SystemExit) as exc:
+            main(["energy", str(img), flag, value])
+        assert exc.value.code == 2
+
+
+class TestNonFiniteInput:
+    def test_segment_nan_tol(self, tmp_path):
+        img = tmp_path / "c.pgm"
+        write_constant_pgm(img)
+        assert main(["segment", str(img), "--output-dir", str(tmp_path / "out"), "--tol", "nan"]) == 1
+
+    def test_profile_nan_step(self):
+        assert main(["profile", "--step", "nan"]) == 1

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from atseg import linsolve
-from atseg.energy import BoundaryKind, ModelKind, ModelParams
+from atseg.energy import BoundaryKind, ModelKind, ModelParams, total_energy
 from atseg.errors import DegenerateSystemError, InvalidInputError, LinearSolveError
 from atseg.grid import Grid2D, ScalarField
 from atseg.linsolve import (
@@ -186,6 +186,20 @@ class TestSolve:
         with pytest.raises(InvalidInputError):
             solve(sys, method="magic")
 
+    def test_nan_tolerance_rejected(self):
+        grid = Grid2D(4, 4, 0.25)
+        sys = LinearSystem(sp.identity(16, format="csr"), ScalarField.constant(grid, 1.0))
+        with pytest.raises(InvalidInputError):
+            solve(sys, tol=float("nan"))
+
+    def test_singular_direct_solve_raises(self):
+        grid = Grid2D(4, 4, 1 / 3)
+        d = np.ones(16)
+        d[5] = 0.0
+        sys = LinearSystem(sp.diags(d, format="csr"), ScalarField.constant(grid, 1.0))
+        with pytest.raises(LinearSolveError):
+            solve(sys, method="direct")
+
     @pytest.mark.parametrize("offdiag", [0.0, 0.3])
     def test_indefinite_system_raises_under_cg(self, offdiag):
         # Diagonally dominant, so CG takes Jacobi; with b = 1 the preconditioned
@@ -245,3 +259,29 @@ class TestDirectConvergence:
         r = solve(sys, tol=1e-10, method="direct")
         assert 1e-10 < r.residual < 1e-6
         assert not r.converged
+
+
+@pytest.mark.parametrize("eta", [0.0, None])
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_systems_are_exact_half_hessians(model, eta):
+    # Each half-step energy is E(x) = c + h^2 (x^T A x / 2 - b^T x): the terms of
+    # total_energy that depend on x, with c collecting those that do not.
+    rng = np.random.default_rng(7)
+    grid = Grid2D.for_image(9, 7)
+    u, v, g = (ScalarField(grid, rng.random(grid.npoints)) for _ in range(3))
+    p = params(model=model, eta=eta)
+    h2, n = grid.h**2, grid.npoints
+
+    def quadratic(sys, x):
+        return h2 * (0.5 * x.values @ (sys.matrix @ x.values) - sys.rhs.values @ x.values)
+
+    e = total_energy(u, v, g, p)
+    c_u = p.gamma_u * h2 * (g.values @ g.values)
+    assert c_u + quadratic(assemble_u_system(v, g, p), u) == pytest.approx(
+        e.coupled + e.grad_perturb + e.fidelity, rel=1e-12
+    )
+    if model is ModelKind.FIRST_ORDER_AT:
+        sys, c_v = assemble_v_system_first_order(u, p), h2 * p.beta * n / (2 * p.eps)
+    else:
+        sys, c_v = assemble_v_system_second_order(u, p), h2 * p.beta * n / (2 * SQRT2 * p.eps)
+    assert c_v + quadratic(sys, v) == pytest.approx(e.coupled + e.mm, rel=1e-12)

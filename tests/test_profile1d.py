@@ -66,6 +66,14 @@ class TestProfileEnergy:
         with pytest.raises(InvalidInputError):
             profile_energy(Profile1D(np.ones(4), 0.1, 1.0))
 
+    @pytest.mark.parametrize(
+        "T, step",
+        [(50.0, float("nan")), (50.0, 0.0), (50.0, -1e-3), (float("inf"), 1e-3), (float("nan"), 1e-3), (-1.0, 1e-3)],
+    )
+    def test_sampling_must_be_positive_and_finite(self, T, step):
+        with pytest.raises(InvalidInputError):
+            sample_closed_form(T, step)
+
 
 class TestDiscreteMinimum:
     @pytest.mark.parametrize("d", [0.0, 0.25, 0.5, 0.75])

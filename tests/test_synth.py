@@ -90,3 +90,9 @@ class TestValidation:
     def test_negative_noise(self):
         with pytest.raises(InvalidInputError):
             PhantomSpec(PhantomKind.ONED_STRUCTURE, noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise(self, sigma):
+        # nan would pass a "sigma < 0" check and then add no noise at all
+        with pytest.raises(InvalidInputError):
+            PhantomSpec(PhantomKind.ONED_STRUCTURE, noise_sigma=sigma)
