@@ -159,18 +159,28 @@ def difference_matrices(grid: Grid2D):
     return Dx, Dy
 
 
+def read_only(A: sp.csr_matrix) -> sp.csr_matrix:
+    """A with sorted column indices and read-only arrays.  The assembled
+    systems of atseg.linsolve share its indices and indptr, so an in-place
+    change to any of them raises instead of corrupting the cached operator."""
+    A.sort_indices()
+    for a in (A.data, A.indices, A.indptr):
+        _freeze(a)
+    return A
+
+
 @functools.lru_cache(maxsize=8)
 def laplacian_matrix(grid: Grid2D) -> sp.csr_matrix:
-    """Symmetric Neumann Laplacian L = -(Dx^T Dx + Dy^T Dy)."""
+    """Symmetric Neumann Laplacian L = -(Dx^T Dx + Dy^T Dy), read-only."""
     Dx, Dy = difference_matrices(grid)
-    return (-(Dx.T @ Dx + Dy.T @ Dy)).tocsr()
+    return read_only((-(Dx.T @ Dx + Dy.T @ Dy)).tocsr())
 
 
 @functools.lru_cache(maxsize=8)
 def bilaplacian_matrix(grid: Grid2D) -> sp.csr_matrix:
-    """L @ L; equals L^T L because L is symmetric, hence positive semidefinite."""
+    """L @ L, read-only; equals L^T L because L is symmetric, hence positive semidefinite."""
     L = laplacian_matrix(grid)
-    return (L @ L).tocsr()
+    return read_only((L @ L).tocsr())
 
 
 def grad_forward(f: ScalarField) -> VectorField2:

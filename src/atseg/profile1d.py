@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import simpson
 from scipy.linalg import solveh_banded
 
 from .errors import InvalidInputError
@@ -61,9 +60,12 @@ def sample_closed_form(T: float = 50.0, step: float = 1e-3, d: float = 0.0) -> P
     """Closed-form profile sampled on [0, T]."""
     if not (0 < T < np.inf and 0 < step < np.inf):
         raise InvalidInputError(f"T and step must be positive and finite, got T={T}, step={step}")
-    n = int(round(T / step)) + 1
-    t = np.arange(n) * step
-    return Profile1D(closed_form_profile(t, d), step, d)
+    try:
+        t = np.arange(int(round(T / step)) + 1) * step
+        f = closed_form_profile(t, d)
+    except (MemoryError, OverflowError, ValueError):  # T/step samples cannot be held
+        raise InvalidInputError(f"cannot sample [0, {T}] at step {step}: too many samples") from None
+    return Profile1D(f, step, d)
 
 
 def _second_derivative(f: np.ndarray, step: float) -> np.ndarray:
@@ -80,6 +82,10 @@ def profile_energy(p: Profile1D) -> float:
     f = p.samples
     if f.size < 5:
         raise InvalidInputError("profile energy needs at least 5 samples")
+    # Imported here: scipy.integrate pulls in scipy.optimize, which no other
+    # command needs and every atseg process would otherwise load.
+    from scipy.integrate import simpson
+
     integrand = (f - 1.0) ** 2 + _second_derivative(f, p.step) ** 2
     return float(simpson(integrand, dx=p.step))
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -220,3 +225,18 @@ class TestNonFiniteInput:
 
     def test_profile_nan_step(self):
         assert main(["profile", "--step", "nan"]) == 1
+
+
+def test_profile_too_many_samples():
+    # 1e15 samples: numpy cannot allocate them (7 PiB), so no memory is touched
+    assert main(["profile", "--tmax", "1e12"]) == 1
+
+
+def test_cli_import_leaves_integration_unloaded():
+    # Only `profile` integrates; every other command starts without
+    # scipy.integrate and the scipy.optimize it imports.
+    code = "import sys, atseg.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -74,6 +74,12 @@ class TestProfileEnergy:
         with pytest.raises(InvalidInputError):
             sample_closed_form(T, step)
 
+    @pytest.mark.parametrize("T, step", [(1e12, 1e-3), (1e30, 1.0), (1e300, 1e-300)])
+    def test_too_many_samples_is_invalid_input(self, T, step):
+        # numpy refuses each sample array before allocating any of it
+        with pytest.raises(InvalidInputError):
+            sample_closed_form(T, step)
+
 
 class TestDiscreteMinimum:
     @pytest.mark.parametrize("d", [0.0, 0.25, 0.5, 0.75])
