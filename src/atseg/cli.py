@@ -16,7 +16,7 @@ import numpy as np
 
 from . import altmin, edges, imgio, profile1d, synth
 from .energy import BoundaryKind, ModelKind, ModelParams, gagliardo_ratio, total_energy
-from .errors import AtsegError
+from .errors import AtsegError, DegenerateInputError
 from .grid import ScalarField
 
 PROFILE_D_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -116,6 +116,7 @@ def _read_field(path: Path) -> ScalarField:
 
 
 def cmd_segment(args) -> int:
+    imgio.check_maxval(args.maxval)
     g = _read_field(args.input)
     params = _params(args, args.eps)
     result = altmin.run(g, params, tol=args.tol, maxit=args.maxit, solver=args.solver)
@@ -191,8 +192,15 @@ def cmd_profile(args) -> int:
     return 0
 
 
+def _eps_value(entry: str) -> float:
+    try:
+        return float(entry)
+    except ValueError:
+        raise AtsegError(f"--eps-list entry {entry.strip()!r} is not a number") from None
+
+
 def cmd_sweep(args) -> int:
-    eps_values = [float(s) for s in args.eps_list.split(",") if s.strip()]
+    eps_values = [_eps_value(s) for s in args.eps_list.split(",") if s.strip()]
     if len(eps_values) < 2:
         raise AtsegError("sweep needs at least two eps values")
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
@@ -207,7 +215,10 @@ def cmd_sweep(args) -> int:
             params = _params(args, eps)
             result = altmin.run(g, params, tol=args.tol, maxit=args.maxit, solver=args.solver)
             last = result.report.entries[-1]
-            ratio = gagliardo_ratio(result.v, params)
+            try:
+                ratio = gagliardo_ratio(result.v, params)
+            except DegenerateInputError:  # v identically 1
+                ratio = float("nan")
             out.write(
                 f"{eps:.17g},{last.breakdown.total:.17g},{last.breakdown.mm:.17g},"
                 f"{ratio:.17g},{result.report.iterations}\n"

@@ -138,24 +138,18 @@ def dot_vec(p: VectorField2, q: VectorField2) -> float:
     return grid.h**2 * float(np.dot(p.x, q.x) + np.dot(p.y, q.y))
 
 
+def _forward_difference(n: int, h: float) -> sp.spmatrix:
+    """1D forward difference (f[i+1] - f[i]) / h on n points; the last row is empty."""
+    d = sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n - 1, n))
+    return sp.vstack([d, sp.csr_matrix((1, n))])
+
+
 @functools.lru_cache(maxsize=8)
 def difference_matrices(grid: Grid2D):
-    """Sparse forward-difference matrices (Dx, Dy) on the flattened row-major grid."""
-    nx, ny, h = grid.nx, grid.ny, grid.h
-    n = nx * ny
-    idx = np.arange(n).reshape(ny, nx)
-
-    r = idx[:, :-1].ravel()
-    rows = np.concatenate([r, r])
-    cols = np.concatenate([r, idx[:, 1:].ravel()])
-    vals = np.concatenate([-np.ones(r.size), np.ones(r.size)]) / h
-    Dx = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    r = idx[:-1, :].ravel()
-    rows = np.concatenate([r, r])
-    cols = np.concatenate([r, idx[1:, :].ravel()])
-    vals = np.concatenate([-np.ones(r.size), np.ones(r.size)]) / h
-    Dy = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    """Sparse forward-difference matrices (Dx, Dy) on the flattened row-major
+    grid: Dx = I_ny (x) d_nx and Dy = d_ny (x) I_nx for the 1D difference d_n."""
+    Dx = sp.kron(sp.identity(grid.ny), _forward_difference(grid.nx, grid.h), format="csr")
+    Dy = sp.kron(_forward_difference(grid.ny, grid.h), sp.identity(grid.nx), format="csr")
     return Dx, Dy
 
 

@@ -5,6 +5,7 @@ clamping would destroy.
 
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -18,54 +19,40 @@ F64_MAGIC = b"GF64"
 HISTORY_HEADER = "k,e_k,total,coupled,mm,grad_perturb,fidelity"
 
 
-class _Tokens:
-    """Whitespace/comment-aware tokenizer over a PGM header."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def _skip_separators(self):
-        while self.pos < len(self.data):
-            c = self.data[self.pos : self.pos + 1]
-            if c.isspace():
-                self.pos += 1
-            elif c == b"#":
-                nl = self.data.find(b"\n", self.pos)
-                self.pos = len(self.data) if nl < 0 else nl + 1
-            else:
-                return
-
-    def next(self, what: str) -> bytes:
-        self._skip_separators()
-        if self.pos >= len(self.data):
-            raise PgmParseError(f"unexpected end of header while reading {what}", self.pos)
-        self.token_start = self.pos
-        while self.pos < len(self.data) and not self.data[self.pos : self.pos + 1].isspace():
-            self.pos += 1
-        return self.data[self.token_start : self.pos]
-
-    def next_int(self, what: str) -> int:
-        tok = self.next(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise PgmParseError(f"expected integer for {what}, got {tok!r}", self.token_start) from None
+# Separators (whitespace, and '#' comments to the end of the line), then the
+# next token.  The group matches the empty string at the end of the stream, so
+# every search succeeds without backtracking.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 def read_pgm(data: bytes) -> ScalarField:
     """Parse a P2 (ascii) or P5 (binary) stream into a field scaled to [0, 1]."""
-    toks = _Tokens(data)
-    magic = toks.next("magic")
+    tokens = _TOKEN.finditer(data)
+
+    def next_token(what: str) -> re.Match:
+        m = next(tokens)
+        if not m[1]:
+            raise PgmParseError(f"unexpected end of header while reading {what}", m.end())
+        return m
+
+    def next_int(what: str) -> tuple[int, re.Match]:
+        m = next_token(what)
+        try:
+            return int(m[1]), m
+        except ValueError:
+            raise PgmParseError(f"expected integer for {what}, got {m[1]!r}", m.start(1)) from None
+
+    magic = next_token("magic")[1]
     if magic not in (b"P2", b"P5"):
         raise PgmParseError(f"not a PGM stream (magic {magic!r})", 0)
-    nx = toks.next_int("width")
-    ny = toks.next_int("height")
+    nx, _ = next_int("width")
+    ny, m = next_int("height")
     if nx < 2 or ny < 2:
-        raise PgmParseError(f"image must be at least 2x2, got {nx}x{ny}", toks.pos)
-    maxval = toks.next_int("maxval")
+        raise PgmParseError(f"image must be at least 2x2, got {nx}x{ny}", m.end())
+    maxval, m = next_int("maxval")
+    header_end = m.end()
     if not (1 <= maxval <= 65535):
-        raise PgmParseError(f"maxval must be in [1, 65535], got {maxval}", toks.pos)
+        raise PgmParseError(f"maxval must be in [1, 65535], got {maxval}", header_end)
 
     n = nx * ny
     if magic == b"P2":
@@ -73,15 +60,15 @@ def read_pgm(data: bytes) -> ScalarField:
             raise PgmParseError(f"truncated payload: need {n} pixels, have {len(data)} bytes", len(data))
         pixels = np.empty(n, dtype=np.int64)
         for i in range(n):
-            pixel = toks.next_int(f"pixel {i}")
+            pixel, m = next_int(f"pixel {i}")
             if not 0 <= pixel <= maxval:
-                raise PgmParseError(f"pixel {i} outside [0, {maxval}]", toks.token_start)
+                raise PgmParseError(f"pixel {i} outside [0, {maxval}]", m.start(1))
             pixels[i] = pixel
     else:
         # exactly one whitespace byte separates maxval from the payload
-        if toks.pos >= len(data) or not data[toks.pos : toks.pos + 1].isspace():
-            raise PgmParseError("missing separator before binary payload", toks.pos)
-        start = toks.pos + 1
+        if not data[header_end : header_end + 1].isspace():
+            raise PgmParseError("missing separator before binary payload", header_end)
+        start = header_end + 1
         width = 1 if maxval < 256 else 2
         need = n * width
         if len(data) - start < need:
@@ -90,12 +77,17 @@ def read_pgm(data: bytes) -> ScalarField:
             )
         dt = np.dtype(np.uint8) if width == 1 else np.dtype(">u2")
         pixels = np.frombuffer(data[start : start + need], dtype=dt).astype(np.int64)
-
-    bad = np.flatnonzero(pixels > maxval)
-    if bad.size:
-        raise PgmParseError(f"pixel {bad[0]} exceeds maxval {maxval}", toks.pos)
+        bad = np.flatnonzero(pixels > maxval)
+        if bad.size:
+            raise PgmParseError(f"pixel {bad[0]} exceeds maxval {maxval}", header_end)
     grid = Grid2D.for_image(nx, ny)
     return ScalarField(grid, pixels.astype(float) / maxval)
+
+
+def check_maxval(maxval: int) -> None:
+    """Raise InvalidInputError unless maxval is one write_pgm can encode."""
+    if not (1 <= maxval <= 65535):
+        raise InvalidInputError(f"maxval must be in [1, 65535], got {maxval}")
 
 
 def write_pgm(f: ScalarField, maxval: int = 255, comment: str | None = None) -> tuple[bytes, int]:
@@ -105,8 +97,7 @@ def write_pgm(f: ScalarField, maxval: int = 255, comment: str | None = None) -> 
     the bytes so callers can warn when overshoot was flattened.  An optional
     single-line comment is embedded after the magic.
     """
-    if not (1 <= maxval <= 65535):
-        raise InvalidInputError(f"maxval must be in [1, 65535], got {maxval}")
+    check_maxval(maxval)
     if comment is not None and ("\n" in comment or "\r" in comment):
         raise InvalidInputError("PGM comments must be a single line")
     v = f.values

@@ -46,6 +46,8 @@ class PhantomSpec:
     def __post_init__(self):
         if not (0 < self.contrast <= 1):
             raise InvalidInputError(f"contrast must lie in (0, 1], got {self.contrast}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
         if not (0 <= self.noise_sigma < np.inf):
             raise InvalidInputError(f"noise sigma must be finite and nonnegative, got {self.noise_sigma}")
         grid = Grid2D.for_image(self.nx, self.ny)

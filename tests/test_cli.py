@@ -88,6 +88,14 @@ class TestSegment:
             outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert outs[0] == outs[1]
 
+    def test_invalid_maxval_rejected_before_solving(self, tmp_path, capsys):
+        img = tmp_path / "c.pgm"
+        write_constant_pgm(img)
+        out = tmp_path / "out"
+        assert main(["segment", str(img), "--output-dir", str(out), "--maxval", "0"]) == 1
+        assert "error: maxval must be in [1, 65535], got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynth:
     def test_writes_image_and_sidecar(self, tmp_path):
@@ -104,6 +112,11 @@ class TestSynth:
         a = synth_phantom(tmp_path, "a.pgm", kind="oned", sigma="0.1", seed=3, nx=32, ny=32)
         b = synth_phantom(tmp_path, "b.pgm", kind="oned", sigma="0.1", seed=3, nx=32, ny=32)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        assert main(["synth", str(tmp_path / "g.pgm"), "--seed", "-1"]) == 1
+        assert "error: seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "g.pgm").exists()
 
 
 class TestProfile:
@@ -146,6 +159,22 @@ class TestSweep:
         img = tmp_path / "c.pgm"
         write_constant_pgm(img)
         assert main(["sweep", str(img), "--eps-list", "0.02,0.04"]) == 1
+
+    def test_non_numeric_eps_entry(self, tmp_path, capsys):
+        img = tmp_path / "c.pgm"
+        write_constant_pgm(img)
+        assert main(["sweep", str(img), "--eps-list", "0.08,abc"]) == 1
+        assert "error: --eps-list entry 'abc' is not a number" in capsys.readouterr().err
+
+    def test_all_black_image_ratio_is_nan(self, tmp_path):
+        # 80x80 takes the CG path, which returns v identically 1, so the
+        # ratio's denominator is exactly 0.
+        img = tmp_path / "black.pgm"
+        write_constant_pgm(img, value=0.0, n=80)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(img), "--eps-list", "0.08,0.04", "--output", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["nan", "nan"]
 
     def test_constant_image_rows(self, tmp_path):
         img = tmp_path / "c.pgm"

@@ -66,6 +66,49 @@ class TestReadPgm:
         with pytest.raises(PgmParseError):
             read_pgm(b"P2\n2 2\n100\n0 0 0 101\n")
 
+    @pytest.mark.parametrize(
+        "data, token, message",
+        [
+            (b"P2\n2 2\n255\n0 1\n# c\n 2.5 3\n", b"2.5", "expected integer for pixel 2, got b'2.5'"),
+            (b"P2\n2 2\n100\n0 0 0\t101 \n", b"101", "pixel 3 outside [0, 100]"),
+        ],
+    )
+    def test_pixel_error_offset_is_token_start(self, data, token, message):
+        with pytest.raises(PgmParseError) as err:
+            read_pgm(data)
+        assert err.value.offset == data.index(token)
+        assert str(err.value) == f"{message} (byte offset {data.index(token)})"
+
+
+# Separators between P2 tokens.  Each piece starts with whitespace, so a
+# comment never touches the token before it, and a comment runs to its '\n'
+# through any '\r' or '#' in its text.
+SEPARATOR = st.lists(
+    st.sampled_from([" ", "\t", "\r", "\n", "\r\n", " # comment\n", "\t#\r1 #2\n", "\r\n#\n\t"]),
+    min_size=1,
+    max_size=3,
+).map("".join)
+
+
+@st.composite
+def p2_and_p5(draw):
+    """One image as a P2 stream with random separators and as canonical P5."""
+    nx, ny = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    maxval = draw(st.integers(1, 65535))
+    pixels = draw(st.lists(st.integers(0, maxval), min_size=nx * ny, max_size=nx * ny))
+    tokens = ["P2", str(nx), str(ny), str(maxval), *map(str, pixels)]
+    p2 = "".join(t + draw(SEPARATOR) for t in tokens).encode("ascii")
+    payload = np.array(pixels, dtype=np.uint8 if maxval < 256 else ">u2").tobytes()
+    return p2, f"P5\n{nx} {ny}\n{maxval}\n".encode("ascii") + payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(p2_and_p5())
+def test_p2_with_any_separators_matches_p5(streams):
+    ascii_field, binary_field = (read_pgm(s) for s in streams)
+    assert ascii_field.grid == binary_field.grid
+    assert np.array_equal(ascii_field.values, binary_field.values)
+
 
 class TestWritePgm:
     def test_all_zero_payload(self):
