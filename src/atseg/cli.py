@@ -117,6 +117,7 @@ def _read_field(path: Path) -> ScalarField:
 
 def cmd_segment(args) -> int:
     imgio.check_maxval(args.maxval)
+    edges.check_threshold(args.threshold)
     g = _read_field(args.input)
     params = _params(args, args.eps)
     result = altmin.run(g, params, tol=args.tol, maxit=args.maxit, solver=args.solver)
@@ -217,7 +218,7 @@ def cmd_sweep(args) -> int:
             last = result.report.entries[-1]
             try:
                 ratio = gagliardo_ratio(result.v, params)
-            except DegenerateInputError:  # v identically 1
+            except DegenerateInputError:  # v within rounding of 1
                 ratio = float("nan")
             out.write(
                 f"{eps:.17g},{last.breakdown.total:.17g},{last.breakdown.mm:.17g},"

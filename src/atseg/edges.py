@@ -68,8 +68,16 @@ class CirclePairEdge:
 EdgeDescription = VerticalLineEdge | EllipseEdge | CirclePairEdge
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise InvalidInputError unless threshold is a finite number."""
+    if not np.isfinite(threshold):
+        raise InvalidInputError(f"threshold must be finite, got {threshold}")
+
+
 def level_mask(v: ScalarField, threshold: float = DEFAULT_THRESHOLD) -> EdgeMask:
-    """Binary mask of {v > threshold}."""
+    """Binary mask of {v > threshold}; a non-finite threshold raises
+    InvalidInputError (v > nan would be an empty mask)."""
+    check_threshold(threshold)
     return EdgeMask(v.grid, v.values > threshold)
 
 

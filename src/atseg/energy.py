@@ -17,6 +17,8 @@ from .errors import DegenerateInputError, InvalidInputError
 from .grid import ScalarField, difference_matrices, grad_forward, laplacian, same_grid
 
 SQRT2 = float(np.sqrt(2.0))
+# sqrt of float64's machine epsilon, about 1.5e-8
+ROUNDING_LEVEL = float(np.sqrt(np.finfo(float).eps))
 
 
 class ModelKind(enum.Enum):
@@ -169,12 +171,17 @@ def gagliardo_ratio(v: ScalarField, params: ModelParams) -> float:
 
     Boundedness of this ratio across eps witnesses the Gagliardo-Nirenberg
     interpolation inequality for the shifted field v - 1.
+
+    The ratio does not change when v - 1 is scaled, so it says nothing about
+    a v - 1 of rounding size: a direct solve on an all-black image returns
+    v = 1 plus noise up to about 1e-12.  A v within sqrt(machine epsilon) of
+    1 everywhere raises DegenerateInputError, as v identically 1 does.
     """
     grid = v.grid
     eps = params.eps
-    num = eps * _cellsum(grid, _grad_sq(v))
     r = v.values - 1.0
+    if np.max(np.abs(r)) <= ROUNDING_LEVEL:
+        raise DegenerateInputError("ratio undefined for v within rounding of 1")
+    num = eps * _cellsum(grid, _grad_sq(v))
     den = _cellsum(grid, r * r) / eps + eps**3 * _cellsum(grid, hessian_sq(v))
-    if den == 0.0:
-        raise DegenerateInputError("ratio undefined for v identically 1")
     return num / den

@@ -96,6 +96,17 @@ class TestSegment:
         assert "error: maxval must be in [1, 65535], got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_rejected_before_solving(self, tmp_path, capsys, threshold):
+        # v > nan is false everywhere: without the check the run would write
+        # an empty mask.pgm and exit 0.
+        img = tmp_path / "c.pgm"
+        write_constant_pgm(img)
+        out = tmp_path / "out"
+        assert main(["segment", str(img), "--output-dir", str(out), f"--threshold={threshold}"]) == 1
+        assert "error: threshold must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynth:
     def test_writes_image_and_sidecar(self, tmp_path):
@@ -173,6 +184,16 @@ class TestSweep:
         write_constant_pgm(img, value=0.0, n=80)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", str(img), "--eps-list", "0.08,0.04", "--output", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["nan", "nan"]
+
+    def test_all_black_image_ratio_is_nan_on_direct_path(self, tmp_path):
+        # The direct path returns v = 1 plus rounding noise (max |v - 1| near
+        # 8e-16 at 16x16), whose ratio means nothing.
+        img = tmp_path / "black.pgm"
+        write_constant_pgm(img, value=0.0)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(img), "--eps-list", "0.08,0.04", "--output", str(out), "--solver", "direct"]) == 0
         rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
         assert [r[3] for r in rows] == ["nan", "nan"]
 

@@ -34,6 +34,12 @@ class TestLevelMask:
         high = level_mask(v, 1.010)
         assert np.all(high.bits <= low.bits)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        g = Grid2D(4, 4, 0.25)
+        with pytest.raises(InvalidInputError, match="threshold must be finite"):
+            level_mask(ScalarField.constant(g, 1.01), threshold)
+
     def test_mask_validation(self):
         g = Grid2D(4, 4, 0.25)
         with pytest.raises(InvalidInputError):

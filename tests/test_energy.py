@@ -214,6 +214,15 @@ class TestGagliardoRatio:
         with pytest.raises(DegenerateInputError):
             gagliardo_ratio(ScalarField.constant(g, 1.0), params())
 
+    def test_rounding_noise_rejected(self):
+        # The ratio is scale-free in v - 1: noise of rounding size would give
+        # an O(1) value that means nothing.
+        g = Grid2D.for_image(16, 16)
+        noise = np.random.default_rng(0).standard_normal(g.npoints)
+        with pytest.raises(DegenerateInputError):
+            gagliardo_ratio(ScalarField(g, 1.0 + 1e-9 * noise), params())
+        assert np.isfinite(gagliardo_ratio(ScalarField(g, 1.0 + 1e-6 * noise), params()))
+
     def test_single_pixel_spike_stays_bounded(self):
         g = Grid2D.for_image(32, 32)
         a = np.ones((32, 32))

@@ -2,8 +2,9 @@
 
 CG needs a symmetric positive definite preconditioner; these tests check
 that property on random grids, thin 2xN and Nx2 ones included, for both
-boundary treatments, and that the preconditioned solve reaches the direct
-solution within the accuracy its tolerance guarantees.
+boundary treatments, that its Chebyshev smoother contracts in the A-norm,
+and that the preconditioned solve reaches the direct solution within the
+accuracy its tolerance guarantees.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from atseg.energy import SQRT2, BoundaryKind, ModelKind, ModelParams
 from atseg.grid import Grid2D, ScalarField
-from atseg.linsolve import assemble_v_system_second_order, multigrid_preconditioner, prolongations, solve
+from atseg.linsolve import _smooth, assemble_v_system_second_order, multigrid_preconditioner, prolongations, solve
 from atseg.synth import PhantomKind, PhantomSpec, generate
 
 SIDES = st.integers(min_value=2, max_value=40)
@@ -57,6 +58,19 @@ def test_vcycle_is_symmetric_positive_definite(case, seed):
 
 
 @settings(max_examples=40, deadline=None)
+@given(v_systems(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_smoothing_contracts_in_energy_norm(case, seed):
+    # One pre-smoothing from zero maps b to S b; for b = A x it leaves the
+    # error x - S A x = R(D^-1 A) x, and |R| < 1 on the spectrum (0, 1].
+    A = case[0].matrix
+    x = np.random.default_rng(seed).standard_normal(A.shape[0])
+    Sb = np.zeros_like(x)
+    _smooth(A, 1.0 / np.abs(A).sum(axis=1).A1, Sb, A @ x)
+    e = x - Sb
+    assert e @ (A @ e) < x @ (A @ x)
+
+
+@settings(max_examples=40, deadline=None)
 @given(v_systems())
 def test_multigrid_cg_matches_direct(case):
     sys, bc = case
@@ -93,3 +107,15 @@ def test_cold_fourth_order_solve_takes_few_iterations():
                         model=ModelKind.SECOND_ORDER_LAPLACIAN, bc=bc)
         r = solve(assemble_v_system_second_order(g, p), tol=1e-10, method="cg")
         assert r.converged and r.iterations <= 60, (bc, r.iterations)
+
+
+def test_cold_noisy_solve_takes_at_most_22_iterations():
+    # The Chebyshev smoother takes 19 (Neumann) and 16 (Dirichlet)
+    # iterations here, two l1-Jacobi sweeps a side 32 and 23: the bound
+    # catches a smoother that falls back to Jacobi's rate.
+    g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, noise_sigma=0.1, seed=12))
+    for bc in BoundaryKind:
+        p = ModelParams(alpha=0.1, beta=0.3, gamma=100.0, eps=3e-2, intensity_scale=1.0,
+                        model=ModelKind.SECOND_ORDER_LAPLACIAN, bc=bc)
+        r = solve(assemble_v_system_second_order(g, p), tol=1e-10, method="cg")
+        assert r.converged and r.iterations <= 22, (bc, r.iterations)
