@@ -81,10 +81,14 @@ def run(
     maxit: int = 500,
     u0: ScalarField | None = None,
     v0: ScalarField | None = None,
-    solver: str = "auto",
+    solver: str = "cg",
     solver_tol: float = 1e-10,
 ) -> SegmentationResult:
     """Alternate the v and u half-steps from u = g, v = 1 until e_k < tol.
+
+    Each inner solve runs linsolve.solve with method=solver ("cg", warm-started
+    from the previous iterate, or "direct" for bit-identical reruns) to
+    relative residual solver_tol.
 
     Raises LinearSolveError (annotated with the outer iteration index) if an
     inner solve fails to converge; reaching maxit is not an error and is

@@ -41,8 +41,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="boundary handling for the second-order edge system")
     p.add_argument("--tol", type=float, default=1e-4, help="stop when e_k drops below this")
     p.add_argument("--maxit", type=int, default=500, help="outer iteration cap")
-    p.add_argument("--solver", choices=["auto", "cg", "direct"], default="auto",
-                   help="inner linear solver")
+    p.add_argument("--solver", choices=["cg", "direct"], default="cg",
+                   help="inner linear solver: preconditioned CG, or sparse LU for bit-identical reruns")
 
 
 def _params(args, eps: float) -> ModelParams:
@@ -207,13 +207,14 @@ def cmd_sweep(args) -> int:
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise AtsegError("eps values must be strictly descending")
 
+    runs = [_params(args, eps) for eps in eps_values]  # reject a bad eps before any output
+
     g = _read_field(args.input)
     out = open(args.output, "w") if args.output is not None else sys.stdout
     try:
         out.write("eps,min_total,mm_at_convergence,gagliardo_ratio,iterations\n")
         out.flush()
-        for eps in eps_values:
-            params = _params(args, eps)
+        for params in runs:
             result = altmin.run(g, params, tol=args.tol, maxit=args.maxit, solver=args.solver)
             last = result.report.entries[-1]
             try:
@@ -221,7 +222,7 @@ def cmd_sweep(args) -> int:
             except DegenerateInputError:  # v within rounding of 1
                 ratio = float("nan")
             out.write(
-                f"{eps:.17g},{last.breakdown.total:.17g},{last.breakdown.mm:.17g},"
+                f"{params.eps:.17g},{last.breakdown.total:.17g},{last.breakdown.mm:.17g},"
                 f"{ratio:.17g},{result.report.iterations}\n"
             )
             out.flush()

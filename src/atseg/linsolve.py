@@ -11,14 +11,16 @@ their diagonal positions and the u-system's value map are cached per grid,
 and each assembly writes only a new values array on the shared, read-only
 index arrays.
 
-Solver policy: sparse LU up to 4096 unknowns; above that, scipy's conjugate
-gradients preconditioned by Jacobi when the matrix is diagonally dominant
-(the u-system, the first-order v-system) and by a symmetric geometric
-multigrid V-cycle otherwise (the fourth-order v-system, whose condition
-number grows like h^-4).  The V-cycle smooths with a Chebyshev polynomial
-in the l1-scaled operator, which removes more error per product with the
-matrix than Jacobi sweeps do and keeps the cycle symmetric.  Either way a
-solve is judged by the true residual of the field it returns.
+Solver policy: scipy's conjugate gradients at every grid size,
+preconditioned by Jacobi when the matrix is diagonally dominant (the
+u-system, the first-order v-system) and by a symmetric geometric multigrid
+V-cycle otherwise (the fourth-order v-system, whose condition number grows
+like h^-4); sparse LU on request, for reruns that must be bit-identical.
+The V-cycle smooths with a Chebyshev polynomial in the l1-scaled operator,
+applied as l1-Jacobi sweeps damped by the inverses of its roots, which
+removes more error per product with the matrix than undamped sweeps do and
+keeps the cycle symmetric.  Either way a solve is judged by the true
+residual of the field it returns.
 """
 
 from __future__ import annotations
@@ -185,8 +187,6 @@ def assemble_v_system_second_order(u: ScalarField, params: ModelParams) -> Linea
     return LinearSystem(A, ScalarField(grid, b))
 
 
-DIRECT_LIMIT = 4096
-
 # V-cycle settings.  On the 128x128 fourth-order v-systems of a noisy phantom,
 # coarsest sides of 8-32 points solved equally fast.  A side of at most 8 keeps
 # one smoothed level on a 16x16 grid; with more, the V-cycle there would be an
@@ -199,23 +199,14 @@ MG_DEGREE = 2
 MG_LOWER = 0.1
 MG_COARSEST = 8
 
-
-def _chebyshev_steps(degree: int, lower: float) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """Scalars of the Chebyshev iteration on [lower, 1] (Saad, Iterative
-    Methods for Sparse Linear Systems, Algorithm 12.1): the first step's
-    1/theta, then (rho_k rho_{k-1}, 2 rho_k / delta) for each later one."""
-    theta, delta = (1.0 + lower) / 2.0, (1.0 - lower) / 2.0
-    sigma = theta / delta
-    rho = 1.0 / sigma
-    steps = []
-    for _ in range(degree - 1):
-        rho_next = 1.0 / (2.0 * sigma - rho)
-        steps.append((rho_next * rho, 2.0 * rho_next / delta))
-        rho = rho_next
-    return 1.0 / theta, tuple(steps)
-
-
-_CHEBYSHEV = _chebyshev_steps(MG_DEGREE, MG_LOWER)
+# The Chebyshev residual polynomial on [MG_LOWER, 1] is the product of the
+# factors 1 - t / lambda_k over its roots lambda_k, so the smoother is one
+# Jacobi sweep damped by each 1 / lambda_k (Adams, Brezina, Hu & Tuminaro,
+# J. Comput. Phys. 188, 2003).
+_WEIGHTS = 1.0 / (
+    (1.0 + MG_LOWER) / 2.0
+    - (1.0 - MG_LOWER) / 2.0 * np.cos((2 * np.arange(MG_DEGREE) + 1) * np.pi / (2 * MG_DEGREE))
+)
 
 
 def _interpolation_1d(n: int) -> sp.csr_matrix:
@@ -290,20 +281,15 @@ def multigrid_preconditioner(A: sp.csr_matrix, grid: Grid2D):
 
 
 def _smooth(A: sp.csr_matrix, dinv: np.ndarray, x: np.ndarray, res: np.ndarray) -> None:
-    """MG_DEGREE Chebyshev steps on A x = r, in place: res holds r - A x on
-    entry and is overwritten.  Makes MG_DEGREE - 1 products with A."""
-    first, steps = _CHEBYSHEV
-    d = np.multiply(dinv, res)
-    d *= first
-    x += d
-    w = np.empty_like(d)
-    for scale, gain in steps:
-        res -= A @ d
-        np.multiply(dinv, res, out=w)
-        w *= gain
-        d *= scale
-        d += w
+    """MG_DEGREE l1-Jacobi sweeps on A x = r damped by _WEIGHTS, in place,
+    which apply the Chebyshev polynomial: res holds r - A x on entry and is
+    overwritten.  Makes MG_DEGREE - 1 products with A."""
+    for k, w in enumerate(_WEIGHTS):
+        d = np.multiply(dinv, res)
+        d *= w
         x += d
+        if k < MG_DEGREE - 1:
+            res -= A @ d
 
 
 def _vcycle(levels, coarse, r: np.ndarray, k: int = 0) -> np.ndarray:
@@ -326,17 +312,17 @@ def solve(
     sys: LinearSystem,
     tol: float = 1e-10,
     maxit: int | None = None,
-    method: str = "auto",
+    method: str = "cg",
     x0: ScalarField | None = None,
 ) -> SolveResult:
     """Solve an SPD system to relative residual <= tol.
 
-    method "direct" uses a sparse LU factorization and one refinement step,
-    "cg" scipy's preconditioned conjugate gradients, "auto" picks direct for
-    grids up to 4096 unknowns and cg beyond.  CG is preconditioned by Jacobi
-    when every row of the matrix is diagonally dominant and by a multigrid
-    V-cycle otherwise; hitting maxit returns its last iterate with
-    converged=False rather than raising.
+    method "cg" runs scipy's conjugate gradients from x0 (zero when None),
+    preconditioned by Jacobi when every row of the matrix is diagonally
+    dominant and by a multigrid V-cycle otherwise; hitting maxit returns its
+    last iterate with converged=False rather than raising.  method "direct"
+    uses a sparse LU factorization and one refinement step, and ignores x0.
+    An x0 on another grid raises GridMismatchError either way.
 
     Both methods report the true residual ||b - A x|| / ||b|| and count as
     converged when it meets tol or lies within the rounding error of
@@ -347,11 +333,10 @@ def solve(
     """
     if not tol > 0:
         raise InvalidInputError("solver tolerance must be positive")
-    if method not in ("auto", "direct", "cg"):
+    if method not in ("direct", "cg"):
         raise InvalidInputError(f"unknown solver method {method!r}")
-    n = sys.grid.npoints
-    if method == "auto":
-        method = "direct" if n <= DIRECT_LIMIT else "cg"
+    if x0 is not None:
+        same_grid(x0, sys.rhs)
 
     A = sys.matrix
     b = sys.rhs.values
@@ -383,7 +368,7 @@ def solve(
         steps = []  # cg hands the callback its iterate once per iteration
         x, _ = cg(
             A, b, x0=None if x0 is None else x0.values, rtol=tol, atol=0.0,
-            maxiter=10 * n if maxit is None else maxit,
+            maxiter=10 * sys.grid.npoints if maxit is None else maxit,
             M=LinearOperator(A.shape, matvec=precond, dtype=float), callback=steps.append,
         )
         iterations = len(steps)

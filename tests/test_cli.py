@@ -107,6 +107,14 @@ class TestSegment:
         assert "error: threshold must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_auto_solver_is_not_a_choice(self, tmp_path):
+        img = tmp_path / "c.pgm"
+        write_constant_pgm(img)
+        with pytest.raises(SystemExit) as exc:
+            main(["segment", str(img), "--output-dir", str(tmp_path / "out"), "--solver", "auto"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestSynth:
     def test_writes_image_and_sidecar(self, tmp_path):
@@ -227,6 +235,15 @@ class TestSweep:
         write_constant_pgm(img)
         # 0.05 < 0.1 and 0.2, though not below the unused --eps default (3e-2).
         assert main(["sweep", str(img), "--eps-list", "0.2,0.1", "--eta", "0.05"]) == 0
+
+    @pytest.mark.parametrize("flags", [["--eps-list", "0.2,0.01", "--eta", "0.05"], ["--eps-list", "0.1,-1"]])
+    def test_every_eps_checked_before_any_output(self, tmp_path, capsys, flags):
+        img = tmp_path / "c.pgm"
+        write_constant_pgm(img)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(img), *flags, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_edge_phantom_trend(self, tmp_path):
         img = synth_phantom(tmp_path, kind="oned", nx=128, ny=16, sigma=0)

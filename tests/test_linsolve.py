@@ -5,7 +5,7 @@ from scipy.sparse.linalg import spsolve
 
 from atseg import linsolve
 from atseg.energy import BoundaryKind, ModelKind, ModelParams, total_energy
-from atseg.errors import DegenerateSystemError, InvalidInputError, LinearSolveError
+from atseg.errors import DegenerateSystemError, GridMismatchError, InvalidInputError, LinearSolveError
 from atseg.grid import Grid2D, ScalarField
 from atseg.linsolve import (
     LinearSystem,
@@ -216,6 +216,29 @@ class TestSolve:
         x = ScalarField(grid, rng.random(25))
         sys = assemble_v_system_first_order(ScalarField.constant(grid, 0.2), params())
         assert np.allclose(sys.apply(x).values, sys.matrix @ x.values)
+
+    def test_default_is_cg_on_a_small_grid(self, monkeypatch):
+        # No size rule: 256 unknowns take CG too, and no factorization runs.
+        factored = []
+        splu = linsolve.splu
+        monkeypatch.setattr(linsolve, "splu", lambda A, **kw: factored.append(A) or splu(A, **kw))
+        grid = Grid2D.for_image(16, 16)
+        r = solve(assemble_u_system(ScalarField.constant(grid, 0.5), step_image(grid), params()))
+        assert r.converged and r.iterations > 1
+        assert factored == []
+
+    def test_auto_method_rejected(self):
+        grid = Grid2D(4, 4, 0.25)
+        sys = LinearSystem(sp.identity(16, format="csr"), ScalarField.constant(grid, 1.0))
+        with pytest.raises(InvalidInputError):
+            solve(sys, method="auto")
+
+    @pytest.mark.parametrize("method", ["cg", "direct"])
+    def test_x0_on_another_grid_raises(self, method):
+        grid = Grid2D.for_image(16, 16)
+        sys = assemble_u_system(ScalarField.constant(grid, 0.5), step_image(grid), params())
+        with pytest.raises(GridMismatchError):
+            solve(sys, method=method, x0=ScalarField.constant(Grid2D.for_image(8, 8), 1.0))
 
 
 @pytest.mark.parametrize("method", ["direct", "cg"])

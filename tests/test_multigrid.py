@@ -2,12 +2,13 @@
 
 CG needs a symmetric positive definite preconditioner; these tests check
 that property on random grids, thin 2xN and Nx2 ones included, for both
-boundary treatments, that its Chebyshev smoother contracts in the A-norm,
-and that the preconditioned solve reaches the direct solution within the
-accuracy its tolerance guarantees.
+boundary treatments, that its smoother applies the Chebyshev polynomial
+and contracts in the A-norm, and that the preconditioned solve reaches the
+direct solution within the accuracy its tolerance guarantees.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -68,6 +69,27 @@ def test_smoothing_contracts_in_energy_norm(case, seed):
     _smooth(A, 1.0 / np.abs(A).sum(axis=1).A1, Sb, A @ x)
     e = x - Sb
     assert e @ (A @ e) < x @ (A @ x)
+
+
+def test_smoothing_is_the_chebyshev_polynomial():
+    # With A = diag(lam) and D = I, one pre-smoothing from zero leaves the
+    # error R(lam) x, R the degree-2 Chebyshev residual polynomial on
+    # [0.1, 1]: T_2 of the interval mapped onto [-1, 1], scaled to R(0) = 1.
+    lo = 0.1
+    roots = (1 + lo) / 2 - (1 - lo) / 2 * np.cos(np.array([1, 3]) * np.pi / 4)
+
+    def R(t):
+        def T2(s):
+            return 2.0 * s**2 - 1.0
+        return T2((1 + lo - 2 * t) / (1 - lo)) / T2((1 + lo) / (1 - lo))
+
+    assert np.all(np.abs(R(roots)) <= 1e-14)
+    lam = np.concatenate([np.linspace(1e-3, 1.0, 200), roots])
+    x = np.random.default_rng(8).standard_normal(lam.size)
+    A = sp.diags(lam, format="csr")
+    Sb = np.zeros_like(x)
+    _smooth(A, np.ones_like(x), Sb, A @ x)
+    assert np.max(np.abs((x - Sb) - R(lam) * x)) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)
