@@ -69,7 +69,7 @@ def _solved(res: SolveResult, what: str, k: int) -> ScalarField:
         raise LinearSolveError(
             f"{what} solve stalled at outer iteration {k} (residual {res.residual:.3e})",
             residual=res.residual,
-            iterations=k,
+            iterations=res.iterations,
         )
     return res.field
 
@@ -90,9 +90,9 @@ def run(
     from the previous iterate, or "direct" for bit-identical reruns) to
     relative residual solver_tol.
 
-    Raises LinearSolveError (annotated with the outer iteration index) if an
-    inner solve fails to converge; reaching maxit is not an error and is
-    reported through report.converged.
+    Raises LinearSolveError (its message names the outer iteration, its
+    iterations the inner count) if an inner solve fails to converge; reaching
+    maxit is not an error and is reported through report.converged.
     """
     if not tol > 0:
         raise InvalidInputError("tolerance must be positive")

@@ -20,7 +20,7 @@ The V-cycle smooths with a Chebyshev polynomial in the l1-scaled operator,
 applied as l1-Jacobi sweeps damped by the inverses of its roots, which
 removes more error per product with the matrix than undamped sweeps do and
 keeps the cycle symmetric.  Either way a solve is judged by the true
-residual of the field it returns.
+residual of the field it returns, and CG restarts while that misses tol.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def multigrid_preconditioner(A: sp.csr_matrix, grid: Grid2D):
     levels = []
     for P in prolongations(grid):
         R = P.T.tocsr()
-        levels.append((A, 1.0 / _abs_row_sums(A), P, R))
+        levels.append((A, _WEIGHTS[:, None] / _abs_row_sums(A), P, R))
         A = (R @ A @ P).tocsr()
     try:
         coarse = cho_factor(A.toarray())
@@ -280,31 +280,23 @@ def multigrid_preconditioner(A: sp.csr_matrix, grid: Grid2D):
     return functools.partial(_vcycle, tuple(levels), coarse)
 
 
-def _smooth(A: sp.csr_matrix, dinv: np.ndarray, x: np.ndarray, res: np.ndarray) -> None:
-    """MG_DEGREE l1-Jacobi sweeps on A x = r damped by _WEIGHTS, in place,
-    which apply the Chebyshev polynomial: res holds r - A x on entry and is
-    overwritten.  Makes MG_DEGREE - 1 products with A."""
-    for k, w in enumerate(_WEIGHTS):
-        d = np.multiply(dinv, res)
-        d *= w
-        x += d
-        if k < MG_DEGREE - 1:
-            res -= A @ d
+def _smooth(A: sp.csr_matrix, scaled, x: np.ndarray, r: np.ndarray) -> None:
+    """One l1-Jacobi sweep x += s (r - A x) on A x = r, in place, per scaled
+    inverse s; the w D^-1 over w in _WEIGHTS apply the Chebyshev polynomial."""
+    for s in scaled:
+        x += s * (r - A @ x)
 
 
 def _vcycle(levels, coarse, r: np.ndarray, k: int = 0) -> np.ndarray:
-    """M r from level k down: smooth from zero, correct from level k+1, then
-    smooth with the same polynomial.  2 * MG_DEGREE products with A."""
+    """M r from level k down: smooth from zero (the first sweep is scaled[0] r),
+    correct from level k+1, smooth again.  2 * MG_DEGREE products with A."""
     if k == len(levels):
         return cho_solve(coarse, r)
-    A, dinv, P, R = levels[k]
-    x = np.zeros_like(r)
-    res = r.copy()
-    _smooth(A, dinv, x, res)
-    np.subtract(r, A @ x, out=res)
-    x += P @ _vcycle(levels, coarse, R @ res, k + 1)
-    np.subtract(r, A @ x, out=res)
-    _smooth(A, dinv, x, res)
+    A, scaled, P, R = levels[k]
+    x = scaled[0] * r
+    _smooth(A, scaled[1:], x, r)
+    x += P @ _vcycle(levels, coarse, R @ (r - A @ x), k + 1)
+    _smooth(A, scaled, x, r)
     return x
 
 
@@ -319,10 +311,13 @@ def solve(
 
     method "cg" runs scipy's conjugate gradients from x0 (zero when None),
     preconditioned by Jacobi when every row of the matrix is diagonally
-    dominant and by a multigrid V-cycle otherwise; hitting maxit returns its
-    last iterate with converged=False rather than raising.  method "direct"
-    uses a sparse LU factorization and one refinement step, and ignores x0.
-    An x0 on another grid raises GridMismatchError either way.
+    dominant and by a multigrid V-cycle otherwise, restarted from its own
+    iterate until that converges (below) or a call gains nothing: cg stops on
+    a recursive residual that drifts from the true one.  maxit (default 10
+    per unknown) caps the iterations summed over the calls; hitting it
+    returns the last iterate with converged=False rather than raising.
+    method "direct" uses a sparse LU factorization and one refinement step,
+    and ignores x0.  An x0 on another grid raises GridMismatchError either way.
 
     Both methods report the true residual ||b - A x|| / ||b|| and count as
     converged when it meets tol or lies within the rounding error of
@@ -343,6 +338,13 @@ def solve(
     bnorm = float(np.linalg.norm(b))
     scale = bnorm if bnorm > 0 else 1.0
 
+    def judged(x: np.ndarray, iterations: int) -> SolveResult:
+        res = float(np.linalg.norm(b - A @ x)) / scale
+        if not np.isfinite(res):
+            raise LinearSolveError("matrix is not positive definite", residual=res, iterations=iterations)
+        converged = res <= tol or res <= _rounding_floor(A, x, b) / scale
+        return SolveResult(ScalarField(sys.grid, x), res, iterations, converged)
+
     if method == "direct":
         # Factor without the explicit zeros a shared pattern can hold (they
         # would only add fill), and free that copy once factored: kept to the
@@ -358,23 +360,20 @@ def solve(
         r = b - A @ x
         if float(np.linalg.norm(r)) / scale > tol:  # one step of iterative refinement
             x = x + lu.solve(r)
-        iterations = 1
-    else:
-        diag = A.diagonal()
-        if np.all(2.0 * np.abs(diag) >= _abs_row_sums(A)):
-            precond = functools.partial(np.multiply, 1.0 / diag)
-        else:
-            precond = multigrid_preconditioner(A, sys.grid)
-        steps = []  # cg hands the callback its iterate once per iteration
-        x, _ = cg(
-            A, b, x0=None if x0 is None else x0.values, rtol=tol, atol=0.0,
-            maxiter=10 * sys.grid.npoints if maxit is None else maxit,
-            M=LinearOperator(A.shape, matvec=precond, dtype=float), callback=steps.append,
-        )
-        iterations = len(steps)
+        return judged(x, 1)
 
-    res = float(np.linalg.norm(b - A @ x)) / scale
-    if not np.isfinite(res):
-        raise LinearSolveError("matrix is not positive definite", residual=res, iterations=iterations)
-    converged = res <= tol or res <= _rounding_floor(A, x, b) / scale
-    return SolveResult(ScalarField(sys.grid, x), res, iterations, converged)
+    diag = A.diagonal()
+    if np.all(2.0 * np.abs(diag) >= _abs_row_sums(A)):
+        precond = functools.partial(np.multiply, 1.0 / diag)
+    else:
+        precond = multigrid_preconditioner(A, sys.grid)
+    M = LinearOperator(A.shape, matvec=precond, dtype=float)
+    budget = 10 * sys.grid.npoints if maxit is None else maxit
+    x = None if x0 is None else x0.values
+    steps, last = [], np.inf  # cg hands the callback its iterate once per iteration
+    while True:  # restart from cg's iterate while its true residual misses tol
+        x, _ = cg(A, b, x0=x, rtol=tol, atol=0.0, maxiter=budget - len(steps), M=M, callback=steps.append)
+        out = judged(x, len(steps))
+        if out.converged or len(steps) >= budget or not out.residual < last:
+            return out
+        last = out.residual

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from atseg import altmin
 from atseg.altmin import convergence_indicator, run
 from atseg.energy import SQRT2, ModelKind, ModelParams, total_energy
-from atseg.errors import DegenerateInputError, InvalidInputError
+from atseg.errors import DegenerateInputError, InvalidInputError, LinearSolveError
 from atseg.grid import Grid2D, ScalarField
 from atseg.linsolve import (
+    SolveResult,
     assemble_u_system,
     assemble_v_system_first_order,
     assemble_v_system_second_order,
@@ -165,6 +167,16 @@ class TestRun:
         g = ScalarField.constant(Grid2D.for_image(8, 8), 0.5)
         with pytest.raises(InvalidInputError):
             run(g, params(), tol=float("nan"))
+
+    def test_stall_error_carries_the_inner_iteration_count(self, monkeypatch):
+        # The message names the outer iteration, the attribute counts the
+        # inner solve's iterations, as it does for errors raised by solve.
+        g = ScalarField.constant(Grid2D.for_image(8, 8), 0.5)
+        monkeypatch.setattr(altmin, "solve", lambda *a, **kw: SolveResult(g, 2e-10, 37, False))
+        with pytest.raises(LinearSolveError) as exc:
+            run(g, params())
+        assert exc.value.iterations == 37
+        assert "outer iteration 1" in str(exc.value)
 
 
 @pytest.mark.parametrize("model", list(ModelKind))

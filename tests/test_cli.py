@@ -88,6 +88,19 @@ class TestSegment:
             outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("synth_flags, flags", [
+        # the edge-field solve of outer iteration 1 ended at a true residual of 2.0e-10
+        ({"kind": "ellipse", "sigma": 0.1, "seed": 11}, ["--model", "laplacian", "--eps", "9e-2"]),
+        # the image solve of outer iteration 2 ended at 1.03e-10
+        ({"kind": "circles", "nx": 128, "ny": 128, "sigma": 0.1, "seed": 12},
+         ["--intensity-scale", "1", "--alpha", "1", "--gamma", "1"]),
+    ])
+    def test_finished_cg_solve_is_not_a_stall(self, tmp_path, synth_flags, flags):
+        # scipy's cg stopped on its recursive residual with the true residual
+        # above tol 1e-10, which once made segment exit 1.
+        img = synth_phantom(tmp_path, **synth_flags)
+        assert main(["segment", str(img), "--output-dir", str(tmp_path / "out"), *flags]) == 0
+
     def test_invalid_maxval_rejected_before_solving(self, tmp_path, capsys):
         img = tmp_path / "c.pgm"
         write_constant_pgm(img)

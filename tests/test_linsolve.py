@@ -254,6 +254,69 @@ def test_reported_residual_is_the_true_residual(method):
     assert r.converged
 
 
+class TestCGRestart:
+    def counted(self, monkeypatch):
+        """Record (maxiter, iterations) of every call solve makes to cg."""
+        calls = []
+        cg = linsolve.cg
+
+        def counting(A, b, *, callback, maxiter, **kw):
+            steps = []
+            out = cg(A, b, callback=lambda xk: (steps.append(xk), callback(xk)), maxiter=maxiter, **kw)
+            calls.append((maxiter, len(steps)))
+            return out
+
+        monkeypatch.setattr(linsolve, "cg", counting)
+        return calls
+
+    def ellipse_edge_system(self):
+        # The first edge-field solve of `segment --model laplacian --eps 9e-2`
+        # on the sigma=0.1 ellipse: cg stops on its recursively updated
+        # residual at a true residual of about 2e-10, twice tol.
+        g, _ = generate(PhantomSpec(PhantomKind.ELLIPSE, noise_sigma=0.1, seed=11))
+        sys = assemble_v_system_second_order(g, params(eps=9e-2, model=ModelKind.SECOND_ORDER_LAPLACIAN))
+        return sys, ScalarField.constant(g.grid, 1.0)
+
+    @pytest.mark.parametrize("maxit", [None, 60])
+    def test_restarts_from_its_iterate_within_maxit(self, monkeypatch, maxit):
+        sys, v = self.ellipse_edge_system()
+        calls = self.counted(monkeypatch)
+        r = solve(sys, tol=1e-10, maxit=maxit, method="cg", x0=v)
+        assert r.converged and r.residual <= 1e-10
+        assert len(calls) >= 2
+        assert r.iterations == sum(n for _, n in calls)
+        budget = 10 * sys.grid.npoints if maxit is None else maxit
+        done = 0
+        for maxiter, n in calls:  # each call gets what the earlier ones left
+            assert maxiter == budget - done
+            done += n
+
+    def test_maxit_caps_the_iterations_over_all_calls(self, monkeypatch):
+        sys, v = self.ellipse_edge_system()
+        calls = self.counted(monkeypatch)
+        first = solve(sys, tol=1e-10, method="cg", x0=v)
+        cap = calls[0][1]  # what the first call takes, leaving no restart
+        calls.clear()
+        r = solve(sys, tol=1e-10, maxit=cap, method="cg", x0=v)
+        assert first.converged and not r.converged
+        assert r.iterations == cap and len(calls) == 1
+
+    def test_a_call_without_progress_ends_the_solve(self, monkeypatch):
+        # A cg that never moves its iterate: the second call leaves the true
+        # residual where the first did, and solve returns instead of looping.
+        calls = []
+
+        def stuck(A, b, x0, **kw):
+            calls.append(x0)
+            return (np.zeros_like(b) if x0 is None else x0), 0
+
+        monkeypatch.setattr(linsolve, "cg", stuck)
+        grid = Grid2D.for_image(8, 8)
+        r = solve(assemble_u_system(ScalarField.constant(grid, 1.0), step_image(grid), params()), method="cg")
+        assert not r.converged and r.residual == 1.0
+        assert len(calls) == 2 and r.iterations == 0
+
+
 class TestDirectConvergence:
     def test_tol_below_rounding_is_met_at_the_rounding_floor(self):
         # A 512-wide stiff fourth-order system: |A||x| is ~1e8 times |b|, so no

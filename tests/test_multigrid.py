@@ -3,11 +3,13 @@
 CG needs a symmetric positive definite preconditioner; these tests check
 that property on random grids, thin 2xN and Nx2 ones included, for both
 boundary treatments, that its smoother applies the Chebyshev polynomial
-and contracts in the A-norm, and that the preconditioned solve reaches the
-direct solution within the accuracy its tolerance guarantees.
+and contracts in the A-norm, that the cycle is the one written out densely,
+and that the preconditioned solve reaches the direct solution within the
+accuracy its tolerance guarantees.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from atseg.energy import SQRT2, BoundaryKind, ModelKind, ModelParams
 from atseg.grid import Grid2D, ScalarField
-from atseg.linsolve import _smooth, assemble_v_system_second_order, multigrid_preconditioner, prolongations, solve
+from atseg.linsolve import _WEIGHTS, _smooth, assemble_v_system_second_order, multigrid_preconditioner, prolongations, solve
 from atseg.synth import PhantomKind, PhantomSpec, generate
 
 SIDES = st.integers(min_value=2, max_value=40)
@@ -66,7 +68,7 @@ def test_smoothing_contracts_in_energy_norm(case, seed):
     A = case[0].matrix
     x = np.random.default_rng(seed).standard_normal(A.shape[0])
     Sb = np.zeros_like(x)
-    _smooth(A, 1.0 / np.abs(A).sum(axis=1).A1, Sb, A @ x)
+    _smooth(A, [w / np.abs(A).sum(axis=1).A1 for w in _WEIGHTS], Sb, A @ x)
     e = x - Sb
     assert e @ (A @ e) < x @ (A @ x)
 
@@ -88,8 +90,40 @@ def test_smoothing_is_the_chebyshev_polynomial():
     x = np.random.default_rng(8).standard_normal(lam.size)
     A = sp.diags(lam, format="csr")
     Sb = np.zeros_like(x)
-    _smooth(A, np.ones_like(x), Sb, A @ x)
+    _smooth(A, [w * np.ones_like(x) for w in _WEIGHTS], Sb, A @ x)
     assert np.max(np.abs((x - Sb) - R(lam) * x)) <= 1e-14
+
+
+def dense_vcycle(A, Ps, r):
+    """The V-cycle written out densely, on the columns of r: pre-smooth with
+    s0 from zero and s1, the coarse correction P C^-1 P^T with C = P^T A P
+    (recursively), then s0 and s1 again; s_k = w_k / (l1 row sums of A) with
+    w_k the inverse roots of the degree-2 Chebyshev polynomial on [0.1, 1]."""
+    if not Ps:
+        return np.linalg.solve(A, r)
+    P = Ps[0]
+    roots = 0.55 - 0.45 * np.cos(np.array([1, 3]) * np.pi / 4)
+    s0, s1 = (1.0 / (lam * np.abs(A).sum(axis=1)[:, None]) for lam in roots)
+    x = s0 * r
+    x = x + s1 * (r - A @ x)
+    x = x + P @ dense_vcycle(P.T @ A @ P, Ps[1:], P.T @ (r - A @ x))
+    x = x + s0 * (r - A @ x)
+    return x + s1 * (r - A @ x)
+
+
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+@pytest.mark.parametrize("n, depth", [(12, 1), (20, 2)])
+def test_vcycle_is_the_dense_cycle(n, depth, bc):
+    grid = Grid2D.for_image(n, n)
+    u = ScalarField(grid, np.random.default_rng(n).random(grid.npoints))
+    A = assemble_v_system_second_order(u, v_params(grid, bc)).matrix
+    Ps = [P.toarray() for P in prolongations(grid)]
+    assert len(Ps) == depth
+    identity = np.eye(grid.npoints)
+    precond = multigrid_preconditioner(A, grid)
+    M = np.column_stack([precond(e) for e in identity])
+    expected = dense_vcycle(A.toarray(), Ps, identity)
+    assert np.max(np.abs(M - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @settings(max_examples=40, deadline=None)
