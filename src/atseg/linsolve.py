@@ -11,16 +11,20 @@ their diagonal positions and the u-system's value map are cached per grid,
 and each assembly writes only a new values array on the shared, read-only
 index arrays.
 
-Solver policy: scipy's conjugate gradients at every grid size,
-preconditioned by Jacobi when the matrix is diagonally dominant (the
-u-system, the first-order v-system) and by a symmetric geometric multigrid
-V-cycle otherwise (the fourth-order v-system, whose condition number grows
+Solver policy: conjugate gradients at every grid size, preconditioned by
+Jacobi when the matrix is diagonally dominant (the u-system, the
+first-order v-system) and by a symmetric geometric multigrid V-cycle
+otherwise (the fourth-order v-system, whose condition number grows
 like h^-4); sparse LU on request, for reruns that must be bit-identical.
 The V-cycle smooths with a Chebyshev polynomial in the l1-scaled operator,
 applied as l1-Jacobi sweeps damped by the inverses of its roots, which
 removes more error per product with the matrix than undamped sweeps do and
 keeps the cycle symmetric.  Either way a solve is judged by the true
 residual of the field it returns, and CG restarts while that misses tol.
+
+The CG loop is the package's own, not scipy's, so that its inner products
+stay off BLAS: OpenBLAS splits a dot product of more than ~10^4 entries over
+its threads, and on vectors this short waking them costs more than the product.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import splu
 
 from .energy import SQRT2, BoundaryKind, ModelParams
 from .errors import DegenerateSystemError, InvalidInputError, LinearSolveError
@@ -255,7 +259,7 @@ def _abs_row_sums(A: sp.spmatrix) -> np.ndarray:
     return _abs(A) @ np.ones(A.shape[1])
 
 
-def multigrid_preconditioner(A: sp.csr_matrix, grid: Grid2D):
+def multigrid_preconditioner(A: sp.csr_matrix, grid: Grid2D, row_sums: np.ndarray | None = None):
     """Symmetric V-cycle r -> M r for an SPD matrix A on grid.
 
     Galerkin coarse operators P^T A P, the same Chebyshev smoother before and
@@ -263,13 +267,15 @@ def multigrid_preconditioner(A: sp.csr_matrix, grid: Grid2D):
     level, which has at most MG_COARSEST^2 unknowns.  The l1 row sums D bound
     A from above, so D^-1 A has its spectrum in (0, 1], where the smoother's
     residual polynomial stays below 1 in magnitude: every smoothing contracts
-    in the A-norm, and M is symmetric positive definite.
+    in the A-norm, and M is symmetric positive definite.  row_sums, when
+    given, are A's l1 row sums, which solve has already computed.
     """
     levels = []
     for P in prolongations(grid):
         R = P.T.tocsr()
-        levels.append((A, _WEIGHTS[:, None] / _abs_row_sums(A), P, R))
-        A = (R @ A @ P).tocsr()
+        D = _abs_row_sums(A) if row_sums is None else row_sums
+        levels.append((A, _WEIGHTS[:, None] / D, P, R))
+        A, row_sums = (R @ A @ P).tocsr(), None
     try:
         coarse = cho_factor(A.toarray())
     except LinAlgError:
@@ -300,6 +306,42 @@ def _vcycle(levels, coarse, r: np.ndarray, k: int = 0) -> np.ndarray:
     return x
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y summed by numpy's own loop, not by BLAS (np.dot, np.linalg.norm)."""
+    return float(np.einsum("i,i->", x, y))
+
+
+def _cg(A: sp.spmatrix, b: np.ndarray, x: np.ndarray, precond, stop: float, done: int, budget: int):
+    """Preconditioned CG on A x = b from a copy of x, with r = b - A x and a
+    fresh direction, until r . r < stop or the count, going on from done,
+    reaches budget.  Returns the iterate and the count.  LinearSolveError,
+    with the count, if r . M r or p . A p is not positive (or is NaN)."""
+    x = x.copy()
+    r = b - A @ x
+    p = rho_prev = None
+    for k in range(done, budget):
+        if _dot(r, r) < stop:
+            return x, k
+        z = precond(r)
+        rho = _dot(r, z)
+        if not rho > 0:
+            raise LinearSolveError("matrix is not positive definite", iterations=k)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = A @ p
+        pq = _dot(p, q)
+        if not pq > 0:
+            raise LinearSolveError("matrix is not positive definite", iterations=k)
+        alpha = rho / pq
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, budget
+
+
 def solve(
     sys: LinearSystem,
     tol: float = 1e-10,
@@ -309,22 +351,26 @@ def solve(
 ) -> SolveResult:
     """Solve an SPD system to relative residual <= tol.
 
-    method "cg" runs scipy's conjugate gradients from x0 (zero when None),
+    method "cg" runs conjugate gradients from x0 (zero when None),
     preconditioned by Jacobi when every row of the matrix is diagonally
-    dominant and by a multigrid V-cycle otherwise, restarted from its own
-    iterate until that converges (below) or a call gains nothing: cg stops on
-    a recursive residual that drifts from the true one.  maxit (default 10
-    per unknown) caps the iterations summed over the calls; hitting it
-    returns the last iterate with converged=False rather than raising.
-    method "direct" uses a sparse LU factorization and one refinement step,
-    and ignores x0.  An x0 on another grid raises GridMismatchError either way.
+    dominant and by a multigrid V-cycle otherwise, in a loop of the
+    package's own whose inner products skip BLAS: its threads cost more to
+    wake than a product of vectors this short.  A pass stops once its
+    recursive residual r has r . r < (tol ||b||)^2; r drifts from the true
+    residual, so the solve restarts from its iterate, with r = b - A x and a
+    fresh direction, until that converges (below) or a pass gains nothing.
+    maxit (default 10 per unknown) caps the iterations summed over the
+    passes; hitting it returns the last iterate with converged=False rather
+    than raising.  b = 0 returns x = 0.  method "direct" uses a sparse LU
+    factorization and one refinement step, and ignores x0.  An x0 on another
+    grid raises GridMismatchError either way.
 
     Both methods report the true residual ||b - A x|| / ||b|| and count as
     converged when it meets tol or lies within the rounding error of
     evaluating b - A x: no float64 vector does better, and on stiff
     fourth-order systems that floor lies above 1e-10.  An exactly singular
-    factor, or a non-finite residual (CG breaking down on an indefinite
-    matrix), raises LinearSolveError.
+    factor, a CG breakdown (r . M r or p . A p not positive, as on an
+    indefinite matrix) or a non-finite residual raises LinearSolveError.
     """
     if not tol > 0:
         raise InvalidInputError("solver tolerance must be positive")
@@ -362,18 +408,20 @@ def solve(
             x = x + lu.solve(r)
         return judged(x, 1)
 
+    if bnorm == 0:
+        return judged(np.zeros_like(b), 0)
     diag = A.diagonal()
-    if np.all(2.0 * np.abs(diag) >= _abs_row_sums(A)):
+    row_sums = _abs_row_sums(A)
+    if np.all(2.0 * np.abs(diag) >= row_sums):
         precond = functools.partial(np.multiply, 1.0 / diag)
     else:
-        precond = multigrid_preconditioner(A, sys.grid)
-    M = LinearOperator(A.shape, matvec=precond, dtype=float)
+        precond = multigrid_preconditioner(A, sys.grid, row_sums)
     budget = 10 * sys.grid.npoints if maxit is None else maxit
-    x = None if x0 is None else x0.values
-    steps, last = [], np.inf  # cg hands the callback its iterate once per iteration
-    while True:  # restart from cg's iterate while its true residual misses tol
-        x, _ = cg(A, b, x0=x, rtol=tol, atol=0.0, maxiter=budget - len(steps), M=M, callback=steps.append)
-        out = judged(x, len(steps))
-        if out.converged or len(steps) >= budget or not out.residual < last:
+    x = np.zeros_like(b) if x0 is None else x0.values
+    done, last = 0, np.inf
+    while True:  # restart from the iterate while its true residual misses tol
+        x, done = _cg(A, b, x, precond, (tol * bnorm) ** 2, done, budget)
+        out = judged(x, done)
+        if out.converged or done >= budget or not out.residual < last:
             return out
         last = out.residual

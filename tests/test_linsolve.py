@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, cg, spsolve
 
 from atseg import linsolve
 from atseg.energy import BoundaryKind, ModelKind, ModelParams, total_energy
@@ -200,15 +202,21 @@ class TestSolve:
         with pytest.raises(LinearSolveError):
             solve(sys, method="direct")
 
-    @pytest.mark.parametrize("offdiag", [0.0, 0.3])
-    def test_indefinite_system_raises_under_cg(self, offdiag):
-        # Diagonally dominant, so CG takes Jacobi; with b = 1 the preconditioned
-        # r.z is 0 and the iterates break down to NaN.
+    @pytest.mark.parametrize(
+        "offdiag, even", [(0.0, 1.0), (0.3, 1.0), (0.3, -1.0)], ids=["0.0", "0.3", "negative-diagonal"]
+    )
+    def test_indefinite_system_raises_under_cg(self, offdiag, even):
+        # Diagonally dominant, so CG takes Jacobi.  With b = 1 the first
+        # preconditioned r.z is 0 on the diagonal of alternating sign, and
+        # negative on the negative one (where scipy's CG would converge, to
+        # the solution of a negative definite system).  Either is a breakdown,
+        # raised before any floating-point error.
         grid = Grid2D(8, 8, 1 / 7)
-        d = np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
+        d = np.where(np.arange(64) % 2 == 0, even, -1.0)
         A = sp.diags([np.full(63, offdiag), d, np.full(63, offdiag)], [-1, 0, 1], format="csr")
-        with np.errstate(all="ignore"), pytest.raises(LinearSolveError):
+        with np.errstate(all="raise"), pytest.raises(LinearSolveError) as exc:
             solve(LinearSystem(A, ScalarField.constant(grid, 1.0)), method="cg")
+        assert exc.value.iterations == 0
 
     def test_apply_is_the_matrix_action(self):
         rng = np.random.default_rng(6)
@@ -256,23 +264,22 @@ def test_reported_residual_is_the_true_residual(method):
 
 class TestCGRestart:
     def counted(self, monkeypatch):
-        """Record (maxiter, iterations) of every call solve makes to cg."""
+        """Record (start, done, budget, iterate, reached) of every CG pass solve runs."""
         calls = []
-        cg = linsolve.cg
+        cg = linsolve._cg
 
-        def counting(A, b, *, callback, maxiter, **kw):
-            steps = []
-            out = cg(A, b, callback=lambda xk: (steps.append(xk), callback(xk)), maxiter=maxiter, **kw)
-            calls.append((maxiter, len(steps)))
+        def counting(A, b, x, precond, stop, done, budget):
+            out = cg(A, b, x, precond, stop, done, budget)
+            calls.append((x.copy(), done, budget, *out))
             return out
 
-        monkeypatch.setattr(linsolve, "cg", counting)
+        monkeypatch.setattr(linsolve, "_cg", counting)
         return calls
 
     def ellipse_edge_system(self):
         # The first edge-field solve of `segment --model laplacian --eps 9e-2`
-        # on the sigma=0.1 ellipse: cg stops on its recursively updated
-        # residual at a true residual of about 2e-10, twice tol.
+        # on the sigma=0.1 ellipse: the first CG pass stops on its recursively
+        # updated residual at a true residual of about 2e-10, twice tol.
         g, _ = generate(PhantomSpec(PhantomKind.ELLIPSE, noise_sigma=0.1, seed=11))
         sys = assemble_v_system_second_order(g, params(eps=9e-2, model=ModelKind.SECOND_ORDER_LAPLACIAN))
         return sys, ScalarField.constant(g.grid, 1.0)
@@ -284,37 +291,78 @@ class TestCGRestart:
         r = solve(sys, tol=1e-10, maxit=maxit, method="cg", x0=v)
         assert r.converged and r.residual <= 1e-10
         assert len(calls) >= 2
-        assert r.iterations == sum(n for _, n in calls)
         budget = 10 * sys.grid.npoints if maxit is None else maxit
-        done = 0
-        for maxiter, n in calls:  # each call gets what the earlier ones left
-            assert maxiter == budget - done
-            done += n
+        x, done = v.values, 0
+        for start, first, cap, x_next, reached in calls:
+            # each pass starts from the iterate the previous one returned and
+            # counts on from what the earlier ones took, to one cap
+            assert np.array_equal(start, x)
+            assert first == done and cap == budget
+            x, done = x_next, reached
+        assert r.iterations == done <= budget
+        assert np.array_equal(r.field.values, x)
 
     def test_maxit_caps_the_iterations_over_all_calls(self, monkeypatch):
         sys, v = self.ellipse_edge_system()
         calls = self.counted(monkeypatch)
         first = solve(sys, tol=1e-10, method="cg", x0=v)
-        cap = calls[0][1]  # what the first call takes, leaving no restart
+        cap = calls[0][4]  # what the first pass takes, leaving no restart
         calls.clear()
         r = solve(sys, tol=1e-10, maxit=cap, method="cg", x0=v)
         assert first.converged and not r.converged
         assert r.iterations == cap and len(calls) == 1
 
     def test_a_call_without_progress_ends_the_solve(self, monkeypatch):
-        # A cg that never moves its iterate: the second call leaves the true
-        # residual where the first did, and solve returns instead of looping.
+        # A CG pass that never moves its iterate: the second pass leaves the
+        # true residual where the first did, and solve returns instead of looping.
         calls = []
 
-        def stuck(A, b, x0, **kw):
-            calls.append(x0)
-            return (np.zeros_like(b) if x0 is None else x0), 0
+        def stuck(A, b, x, precond, stop, done, budget):
+            calls.append(x)
+            return x, done
 
-        monkeypatch.setattr(linsolve, "cg", stuck)
+        monkeypatch.setattr(linsolve, "_cg", stuck)
         grid = Grid2D.for_image(8, 8)
         r = solve(assemble_u_system(ScalarField.constant(grid, 1.0), step_image(grid), params()), method="cg")
         assert not r.converged and r.residual == 1.0
         assert len(calls) == 2 and r.iterations == 0
+
+
+@pytest.mark.parametrize("kind", ["u", "first-order-v", "second-order-v"])
+def test_cg_matches_scipy(kind):
+    # scipy's CG, given the same preconditioner, as the reference: the same
+    # recurrence and stop test, so the same count and, to rounding, iterate.
+    g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=64, ny=64, noise_sigma=0.1, seed=3))
+    if kind == "u":
+        sys = assemble_u_system(ScalarField.constant(g.grid, 1.0), g, params())
+    elif kind == "first-order-v":
+        sys = assemble_v_system_first_order(g, params())
+    else:
+        sys = assemble_v_system_second_order(g, params(model=ModelKind.SECOND_ORDER_LAPLACIAN))
+    A, b = sys.matrix, sys.rhs.values
+    if kind == "second-order-v":
+        precond = linsolve.multigrid_preconditioner(A, sys.grid)
+    else:
+        precond = functools.partial(np.multiply, 1.0 / A.diagonal())
+    steps = []
+    M = LinearOperator(A.shape, matvec=precond, dtype=float)
+    x, info = cg(A, b, rtol=1e-10, atol=0.0, M=M, callback=steps.append)
+    r = solve(sys, tol=1e-10, method="cg")
+    assert info == 0 and r.iterations == len(steps) > 1
+    assert np.linalg.norm(r.field.values - x) <= 1e-8 * np.linalg.norm(x)
+
+
+def test_cg_makes_no_blas_reductions_per_iteration(monkeypatch):
+    # np.dot and np.linalg.norm go through BLAS, which wakes its thread pool on
+    # vectors this long; the CG loop takes its inner products without them.
+    calls = []
+    for mod, name in ((np, "dot"), (np.linalg, "norm")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _fn=fn, **kw: calls.append(_fn) or _fn(*a, **kw))
+    grid = Grid2D.for_image(64, 64)
+    r = solve(assemble_u_system(ScalarField.constant(grid, 1.0), step_image(grid), params()), method="cg")
+    assert r.converged and r.iterations >= 50
+    assert len(calls) <= 5
 
 
 class TestDirectConvergence:
