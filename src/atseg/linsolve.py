@@ -7,15 +7,21 @@ and every solve decreases that energy.
 
 A system's sparsity pattern depends only on the grid: L's for the u-system
 and the first-order v-system, L^2's for the fourth-order one.  The patterns,
-their diagonal positions and the u-system's value map are cached per grid,
-and each assembly writes only a new values array on the shared, read-only
-index arrays.
+their diagonal positions, the u-system's value map and the red-black split
+of L's pattern are cached per grid, and each assembly writes only a new
+values array on the shared, read-only index arrays.
 
-Solver policy: conjugate gradients at every grid size, preconditioned by
-Jacobi when the matrix is diagonally dominant (the u-system, the
-first-order v-system) and by a symmetric geometric multigrid V-cycle
-otherwise (the fourth-order v-system, whose condition number grows
-like h^-4); sparse LU on request, for reruns that must be bit-identical.
+Solver policy: conjugate gradients at every grid size, chosen from the
+matrix.  A diagonally dominant matrix whose off-diagonal entries all join
+points of opposite checkerboard colour (the 5-point u-system and
+first-order v-system) is solved on its black points: the red ones are
+eliminated, CG runs on the Schur complement scaled by the black half of
+A's diagonal, and the red values are back-substituted.  That takes half
+the iterations of Jacobi-CG on the whole grid, on vectors half as long.
+Other diagonally dominant matrices take
+Jacobi-CG; the rest (the fourth-order v-system, whose condition number
+grows like h^-4) a symmetric geometric multigrid V-cycle.  Sparse LU on
+request, for reruns that must be bit-identical.
 The V-cycle smooths with a Chebyshev polynomial in the l1-scaled operator,
 applied as l1-Jacobi sweeps damped by the inverses of its roots, which
 removes more error per product with the matrix than undamped sweeps do and
@@ -31,11 +37,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, splu
 
 from .energy import SQRT2, BoundaryKind, ModelParams
 from .errors import DegenerateSystemError, InvalidInputError, LinearSolveError
@@ -118,6 +125,52 @@ def gram_map(grid: Grid2D) -> sp.csr_matrix:
 def _on_pattern(P: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
     """The matrix with P's shared, read-only index arrays and the values data."""
     return sp.csr_matrix((data, P.indices, P.indptr), shape=P.shape)
+
+
+class RedBlack(NamedTuple):
+    """The checkerboard split of a pattern: the red points ((ix + iy) even),
+    the black ones, and the pattern of B = A[red, black], whose data are the
+    positions of its entries in A's data."""
+
+    red: np.ndarray
+    black: np.ndarray
+    B: sp.csr_matrix
+
+
+def _red_black(P: sp.csr_matrix, grid: Grid2D) -> RedBlack | None:
+    """The split of P's pattern, or None if an off-diagonal entry of P
+    joins two points of one colour."""
+    n = grid.npoints
+    iy, ix = np.divmod(np.arange(n), grid.nx)
+    black = (ix + iy) % 2 == 1
+    rows = np.repeat(np.arange(n), np.diff(P.indptr))
+    off = rows != P.indices
+    if np.any(off & (black[rows] == black[P.indices])):
+        return None
+    red_at, black_at = np.flatnonzero(~black), np.flatnonzero(black)
+    rank = np.empty(n, dtype=P.indices.dtype)
+    rank[black_at] = np.arange(black_at.size)
+    pos = np.flatnonzero(off & ~black[rows]).astype(P.indices.dtype)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[pos], minlength=n)[red_at])]).astype(P.indices.dtype)
+    B = read_only(sp.csr_matrix((pos, rank[P.indices[pos]], indptr), shape=(red_at.size, black_at.size)))
+    red_at.setflags(write=False)
+    black_at.setflags(write=False)
+    return RedBlack(red_at, black_at, B)
+
+
+@functools.lru_cache(maxsize=8)
+def red_black_split(grid: Grid2D) -> RedBlack:
+    """The split of L's pattern, which the u-system and the first-order
+    v-system share: the 5-point stencil joins only points of two colours."""
+    return _red_black(laplacian_matrix(grid), grid)
+
+
+def _split(A: sp.csr_matrix, grid: Grid2D) -> RedBlack | None:
+    """The red-black split of A, cached when A is on L's pattern."""
+    L = laplacian_matrix(grid)
+    if A.shape == L.shape and np.array_equal(A.indptr, L.indptr) and np.array_equal(A.indices, L.indices):
+        return red_black_split(grid)
+    return _red_black(A, grid)
 
 
 def assemble_u_system(v: ScalarField, g: ScalarField, params: ModelParams) -> LinearSystem:
@@ -342,6 +395,33 @@ def _cg(A: sp.spmatrix, b: np.ndarray, x: np.ndarray, precond, stop: float, done
     return x, budget
 
 
+def _reduced(A: sp.csr_matrix, b: np.ndarray, diag: np.ndarray, split: RedBlack):
+    """The black points' system S x_k = b_k - B^T D_r^-1 b_r, with the Schur
+    complement S = D_k - B^T D_r^-1 B applied through B and B^T, never formed;
+    its Jacobi preconditioner D_k^-1; and the back-substitution x_k -> x,
+    x_r = (b_r - B x_k) / d_r.
+
+    D_k scales S as Hageman & Young's reduced-system CG does (Applied Iterative
+    Methods, 1981, ch. 9): each of its iterates is every second iterate of
+    Jacobi-CG on A started with zero red residuals, so it needs half the
+    iterations at about the cost of one product with A each.
+    """
+    B = _on_pattern(split.B, np.take(A.data, split.B.data))
+    Bt = B.T  # A is symmetric: A[black, red] is B^T, a view of B's arrays
+    d_r, d_k = diag[split.red], diag[split.black]
+    inv_r = 1.0 / d_r
+    b_r = b[split.red]
+    S = LinearOperator((d_k.size, d_k.size), matvec=lambda y: d_k * y - Bt @ (inv_r * (B @ y)), dtype=float)
+
+    def full(y: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        x[split.red] = (b_r - B @ y) / d_r
+        x[split.black] = y
+        return x
+
+    return S, b[split.black] - Bt @ (inv_r * b_r), functools.partial(np.multiply, 1.0 / d_k), full
+
+
 def solve(
     sys: LinearSystem,
     tol: float = 1e-10,
@@ -351,25 +431,33 @@ def solve(
 ) -> SolveResult:
     """Solve an SPD system to relative residual <= tol.
 
-    method "cg" runs conjugate gradients from x0 (zero when None),
-    preconditioned by Jacobi when every row of the matrix is diagonally
-    dominant and by a multigrid V-cycle otherwise, in a loop of the
-    package's own whose inner products skip BLAS: its threads cost more to
-    wake than a product of vectors this short.  A pass stops once its
+    method "cg" runs conjugate gradients from x0 (zero when None), in a
+    loop of the package's own whose inner products skip BLAS: its threads
+    cost more to wake than a product of vectors this short.  When every row
+    of the matrix is diagonally dominant and every off-diagonal entry joins
+    points of opposite colour ((ix + iy) even: red, odd: black), CG runs on
+    the black points' Schur complement S = D_k - B^T D_r^-1 B, B = A[red,
+    black], preconditioned by D_k; x0's red half is unused, and after each
+    pass the red values are back-substituted, x_r = (b_r - B x_k) / d_r,
+    which leaves the red rows' residual at rounding, so the reduced residual
+    is the full one.  Other diagonally dominant matrices take Jacobi on the
+    whole grid, the rest a multigrid V-cycle.  A pass stops once its
     recursive residual r has r . r < (tol ||b||)^2; r drifts from the true
     residual, so the solve restarts from its iterate, with r = b - A x and a
     fresh direction, until that converges (below) or a pass gains nothing.
-    maxit (default 10 per unknown) caps the iterations summed over the
-    passes; hitting it returns the last iterate with converged=False rather
-    than raising.  b = 0 returns x = 0.  method "direct" uses a sparse LU
-    factorization and one refinement step, and ignores x0.  An x0 on another
-    grid raises GridMismatchError either way.
+    iterations counts the CG iterations summed over the passes, on the
+    reduced system when there is one; maxit (default 10 per unknown) caps
+    that sum, and hitting it returns the last iterate with converged=False
+    rather than raising.  b = 0 returns x = 0.  method "direct" uses a
+    sparse LU factorization and one refinement step, and ignores x0.  An x0
+    on another grid raises GridMismatchError either way.
 
     Both methods report the true residual ||b - A x|| / ||b|| and count as
     converged when it meets tol or lies within the rounding error of
     evaluating b - A x: no float64 vector does better, and on stiff
     fourth-order systems that floor lies above 1e-10.  An exactly singular
-    factor, a CG breakdown (r . M r or p . A p not positive, as on an
+    factor, a diagonal entry that is not positive (under CG, checked before
+    any division), a CG breakdown (r . M r or p . A p not positive, as on an
     indefinite matrix) or a non-finite residual raises LinearSolveError.
     """
     if not tol > 0:
@@ -411,17 +499,23 @@ def solve(
     if bnorm == 0:
         return judged(np.zeros_like(b), 0)
     diag = A.diagonal()
+    if not np.all(diag > 0):
+        raise LinearSolveError("matrix is not positive definite", iterations=0)
     row_sums = _abs_row_sums(A)
-    if np.all(2.0 * np.abs(diag) >= row_sums):
+    x = np.zeros_like(b) if x0 is None else x0.values
+    op, rhs, full = A, b, None
+    if not np.all(2.0 * diag >= row_sums):
+        precond = multigrid_preconditioner(A, sys.grid, row_sums)
+    elif (split := _split(A.tocsr(), sys.grid)) is None:
         precond = functools.partial(np.multiply, 1.0 / diag)
     else:
-        precond = multigrid_preconditioner(A, sys.grid, row_sums)
+        op, rhs, precond, full = _reduced(A.tocsr(), b, diag, split)
+        x = x[split.black]
     budget = 10 * sys.grid.npoints if maxit is None else maxit
-    x = np.zeros_like(b) if x0 is None else x0.values
     done, last = 0, np.inf
     while True:  # restart from the iterate while its true residual misses tol
-        x, done = _cg(A, b, x, precond, (tol * bnorm) ** 2, done, budget)
-        out = judged(x, done)
+        x, done = _cg(op, rhs, x, precond, (tol * bnorm) ** 2, done, budget)
+        out = judged(x if full is None else full(x), done)
         if out.converged or done >= budget or not out.residual < last:
             return out
         last = out.residual

@@ -26,6 +26,12 @@ def params(eps=3e-2, model=ModelKind.FIRST_ORDER_AT, **kw):
     return ModelParams(alpha=1e-2, beta=0.3, gamma=1e-3, eps=eps, model=model, **kw)
 
 
+def red_points(grid):
+    """True where (ix + iy) is even: the points the 5-point CG solves eliminate."""
+    iy, ix = np.divmod(np.arange(grid.npoints), grid.nx)
+    return (ix + iy) % 2 == 0
+
+
 def step_image(grid):
     a = np.where(np.arange(grid.nx)[None, :] < grid.nx // 2, 0.1, 0.9)
     return ScalarField.from_matrix(grid, np.broadcast_to(a, (grid.ny, grid.nx)).copy())
@@ -323,33 +329,151 @@ class TestCGRestart:
 
         monkeypatch.setattr(linsolve, "_cg", stuck)
         grid = Grid2D.for_image(8, 8)
-        r = solve(assemble_u_system(ScalarField.constant(grid, 1.0), step_image(grid), params()), method="cg")
-        assert not r.converged and r.residual == 1.0
+        sys = assemble_u_system(ScalarField.constant(grid, 1.0), step_image(grid), params())
+        r = solve(sys, method="cg")
+        # The reduced zero start, back-substituted: x_r = b_r / d_r, x_k = 0.
+        A, b, red = sys.matrix, sys.rhs.values, red_points(grid)
+        x = np.zeros_like(b)
+        x[red] = b[red] / A.diagonal()[red]
+        assert not r.converged and r.residual == np.linalg.norm(b - A @ x) / np.linalg.norm(b)
         assert len(calls) == 2 and r.iterations == 0
+
+
+def system_of(kind, g):
+    if kind == "u":
+        return assemble_u_system(ScalarField.constant(g.grid, 1.0), g, params())
+    if kind == "first-order-v":
+        return assemble_v_system_first_order(g, params())
+    return assemble_v_system_second_order(g, params(model=ModelKind.SECOND_ORDER_LAPLACIAN))
 
 
 @pytest.mark.parametrize("kind", ["u", "first-order-v", "second-order-v"])
 def test_cg_matches_scipy(kind):
     # scipy's CG, given the same preconditioner, as the reference: the same
     # recurrence and stop test, so the same count and, to rounding, iterate.
+    # The 5-point systems are solved on their black points: the reference runs
+    # on the explicit Schur complement S = D_k - B^T D_r^-1 B, preconditioned
+    # by D_k, to the absolute residual tol ||b|| of the full system, and its
+    # red points are back-substituted.
     g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=64, ny=64, noise_sigma=0.1, seed=3))
-    if kind == "u":
-        sys = assemble_u_system(ScalarField.constant(g.grid, 1.0), g, params())
-    elif kind == "first-order-v":
-        sys = assemble_v_system_first_order(g, params())
-    else:
-        sys = assemble_v_system_second_order(g, params(model=ModelKind.SECOND_ORDER_LAPLACIAN))
+    sys = system_of(kind, g)
     A, b = sys.matrix, sys.rhs.values
-    if kind == "second-order-v":
-        precond = linsolve.multigrid_preconditioner(A, sys.grid)
-    else:
-        precond = functools.partial(np.multiply, 1.0 / A.diagonal())
     steps = []
-    M = LinearOperator(A.shape, matvec=precond, dtype=float)
-    x, info = cg(A, b, rtol=1e-10, atol=0.0, M=M, callback=steps.append)
+    if kind == "second-order-v":
+        M = LinearOperator(A.shape, matvec=linsolve.multigrid_preconditioner(A, sys.grid), dtype=float)
+        x, info = cg(A, b, rtol=1e-10, atol=0.0, M=M, callback=steps.append)
+    else:
+        red = red_points(sys.grid)
+        A = A.tocsr()
+        d_r = A.diagonal()[red]
+        B = A[red][:, ~red]
+        S = (A[~red][:, ~red] - B.T @ sp.diags(1.0 / d_r) @ B).tocsr()
+        c = b[~red] - B.T @ (b[red] / d_r)
+        M = LinearOperator(S.shape, matvec=functools.partial(np.multiply, 1.0 / A.diagonal()[~red]), dtype=float)
+        x_k, info = cg(S, c, rtol=0.0, atol=1e-10 * np.linalg.norm(b), M=M, callback=steps.append)
+        x = np.empty_like(b)
+        x[red], x[~red] = (b[red] - B @ x_k) / d_r, x_k
     r = solve(sys, tol=1e-10, method="cg")
     assert info == 0 and r.iterations == len(steps) > 1
     assert np.linalg.norm(r.field.values - x) <= 1e-8 * np.linalg.norm(x)
+
+
+class TestRedBlack:
+    """The 5-point systems are solved by CG on their black points."""
+
+    def lengths(self, monkeypatch):
+        """The length of every right-hand side solve hands to a CG pass."""
+        seen = []
+        cg_pass = linsolve._cg
+
+        def recording(A, b, *args):
+            seen.append(b.size)
+            return cg_pass(A, b, *args)
+
+        monkeypatch.setattr(linsolve, "_cg", recording)
+        return seen
+
+    @pytest.mark.parametrize("shape", [(64, 64), (47, 33)], ids=["64x64", "33x47"])
+    @pytest.mark.parametrize("kind", ["u", "first-order-v"])
+    def test_matches_direct(self, monkeypatch, kind, shape):
+        # 33 rows of 47 points: on an odd row length the colour of a row's
+        # first point alternates.
+        nx, ny = shape
+        g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=nx, ny=ny, noise_sigma=0.1, seed=3))
+        sys = system_of(kind, g)
+        seen = self.lengths(monkeypatch)
+        r = solve(sys, tol=1e-10, method="cg")
+        direct = solve(sys, method="direct").field.values
+        assert r.converged and seen and set(seen) == {nx * ny // 2}
+        assert np.linalg.norm(r.field.values - direct) <= 1e-8 * np.linalg.norm(direct)
+
+    def test_halves_the_iterations(self):
+        grid = Grid2D.for_image(64, 64)
+        sys = assemble_u_system(ScalarField.constant(grid, 1.0), step_image(grid), params())
+        A, b = sys.matrix, sys.rhs.values
+        jacobi = functools.partial(np.multiply, 1.0 / A.diagonal())
+        stop = (1e-10 * np.linalg.norm(b)) ** 2
+        _, full = linsolve._cg(A, b, np.zeros_like(b), jacobi, stop, 0, 10 * grid.npoints)
+        r = solve(sys, tol=1e-10, method="cg")
+        assert r.converged and r.iterations <= 0.6 * full
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_iterates_are_every_second_jacobi_iterate(self, k):
+        # Hageman & Young: CG on S, preconditioned by D_k, steps through the
+        # even iterates of Jacobi-CG on A started with zero red residuals.
+        grid = Grid2D.for_image(16, 16)
+        rng = np.random.default_rng(8)
+        sys = assemble_u_system(ScalarField(grid, rng.random(grid.npoints)), step_image(grid), params())
+        A, b, red = sys.matrix, sys.rhs.values, red_points(grid)
+        d = A.diagonal()
+        x0 = np.zeros_like(b)
+        x0[red] = b[red] / d[red]
+        jacobi = functools.partial(np.multiply, 1.0 / d)
+        x, _ = linsolve._cg(A, b, x0, jacobi, 0.0, 0, 2 * k)
+        r = solve(sys, tol=1e-10, maxit=k, method="cg")
+        assert r.iterations == k and not r.converged
+        assert np.linalg.norm(r.field.values - x) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (47, 33)], ids=["64x64", "33x47"])
+    def test_red_rows_hold_to_rounding(self, shape):
+        g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=shape[0], ny=shape[1], noise_sigma=0.1, seed=3))
+        sys = system_of("u", g)
+        A, b, red = sys.matrix, sys.rhs.values, red_points(g.grid)
+        x = solve(sys, tol=1e-10, method="cg").field.values
+        # each red row has at most 5 terms and one division, each rounded once
+        bound = 8 * np.finfo(float).eps * (abs(A) @ np.abs(x) + np.abs(b))
+        assert np.all(np.abs(b - A @ x)[red] <= bound[red])
+
+    def test_rows_wrapping_into_one_colour_are_not_split(self, monkeypatch):
+        # The tridiagonal of test_indefinite_system_raises_under_cg, made
+        # positive definite: it joins the last point of each row to the first
+        # of the next, which share a colour on an even row length.
+        grid = Grid2D(8, 8, 1 / 7)
+        A = sp.diags([np.full(63, -0.5), np.full(64, 2.0), np.full(63, -0.5)], [-1, 0, 1], format="csr")
+        seen = self.lengths(monkeypatch)
+        r = solve(LinearSystem(A, ScalarField.constant(grid, 1.0)), method="cg")
+        assert r.converged and set(seen) == {64}
+
+    @pytest.mark.parametrize("zero_at", [0, 1], ids=["red", "black"])
+    def test_zero_diagonal_raises_before_dividing(self, zero_at):
+        # A zero row passes the diagonal-dominance test (0 >= 0); solve must
+        # raise its typed error, not divide by the zero.
+        grid = Grid2D(4, 4, 1 / 3)
+        d = np.ones(16)
+        d[zero_at] = 0.0
+        with np.errstate(all="raise"), pytest.raises(LinearSolveError, match="not positive definite") as exc:
+            solve(LinearSystem(sp.diags(d), ScalarField.constant(grid, 1.0)), method="cg")
+        assert exc.value.iterations == 0
+
+    def test_singular_reduced_system_raises(self):
+        # Red point 0 joined only to black point 1, with [[1, -1], [-1, 1]]
+        # between them: A is singular, and so is S (S_11 = 1 - 1^2 / 1 = 0).
+        # CG breaks down on p . S p = 0 with its typed error.
+        grid = Grid2D(2, 2, 1.0)
+        A = sp.csr_matrix(np.array([[1.0, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+        with np.errstate(all="raise"), pytest.raises(LinearSolveError, match="not positive definite") as exc:
+            solve(LinearSystem(A, ScalarField.constant(grid, 1.0)), method="cg")
+        assert exc.value.iterations == 1
 
 
 def test_cg_makes_no_blas_reductions_per_iteration(monkeypatch):
