@@ -98,6 +98,11 @@ class ScalarField:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
+    @functools.cached_property
+    def _gradient(self) -> "VectorField2":
+        Dx, Dy = difference_matrices(self.grid)
+        return VectorField2(self.grid, Dx @ self.values, Dy @ self.values)
+
 
 @dataclass(frozen=True)
 class VectorField2:
@@ -178,9 +183,13 @@ def bilaplacian_matrix(grid: Grid2D) -> sp.csr_matrix:
 
 
 def grad_forward(f: ScalarField) -> VectorField2:
-    """Forward-difference gradient (Dx f, Dy f); last column (x) / last row (y) are zero."""
-    Dx, Dy = difference_matrices(f.grid)
-    return VectorField2(f.grid, Dx @ f.values, Dy @ f.values)
+    """Forward-difference gradient (Dx f, Dy f); last column (x) / last row (y) are zero.
+
+    Taken once per field and kept with it: a field never changes, and the
+    energy of one outer iteration and the next edge-field assembly both take
+    the gradient of the same image.
+    """
+    return f._gradient
 
 
 def div_adjoint(p: VectorField2) -> ScalarField:

@@ -7,21 +7,22 @@ and every solve decreases that energy.
 
 A system's sparsity pattern depends only on the grid: L's for the u-system
 and the first-order v-system, L^2's for the fourth-order one.  The patterns,
-their diagonal positions, the u-system's value map and the red-black split
-of L's pattern are cached per grid, and each assembly writes only a new
-values array on the shared, read-only index arrays.
+their diagonal positions, the u-system's value map, the red-black split of
+L's pattern (with the pattern of its transpose) and the multigrid
+transfers are cached per grid.  Each assembly writes only a new values
+array on the shared, read-only index arrays, and a solve recognizes them
+by address, so that a CG solve pays little besides its iterations.
 
 Solver policy: conjugate gradients at every grid size, chosen from the
-matrix.  A diagonally dominant matrix whose off-diagonal entries all join
-points of opposite checkerboard colour (the 5-point u-system and
-first-order v-system) is solved on its black points: the red ones are
-eliminated, CG runs on the Schur complement scaled by the black half of
-A's diagonal, and the red values are back-substituted.  That takes half
-the iterations of Jacobi-CG on the whole grid, on vectors half as long.
-Other diagonally dominant matrices take
-Jacobi-CG; the rest (the fourth-order v-system, whose condition number
-grows like h^-4) a symmetric geometric multigrid V-cycle.  Sparse LU on
-request, for reruns that must be bit-identical.
+matrix.  A matrix whose off-diagonal entries all join points of opposite
+checkerboard colour (the 5-point u-system and first-order v-system) is
+solved on its black points: the red ones are eliminated, CG runs on the
+Schur complement scaled by the black half of A's diagonal on both sides,
+and the red values are back-substituted.  That takes half the iterations
+of Jacobi-CG on the whole grid, on vectors half as long.  Other diagonally
+dominant matrices take Jacobi-CG; the rest (the fourth-order v-system,
+whose condition number grows like h^-4) a symmetric geometric multigrid
+V-cycle.  Sparse LU on request, for reruns that must be bit-identical.
 The V-cycle smooths with a Chebyshev polynomial in the l1-scaled operator,
 applied as l1-Jacobi sweeps damped by the inverses of its roots, which
 removes more error per product with the matrix than undamped sweeps do and
@@ -35,14 +36,16 @@ its threads, and on vectors this short waking them costs more than the product.
 
 from __future__ import annotations
 
+import copy
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.sparse.linalg import LinearOperator, splu
+from scipy.sparse.linalg import splu
 
 from .energy import SQRT2, BoundaryKind, ModelParams
 from .errors import DegenerateSystemError, InvalidInputError, LinearSolveError
@@ -123,18 +126,29 @@ def gram_map(grid: Grid2D) -> sp.csr_matrix:
 
 
 def _on_pattern(P: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
-    """The matrix with P's shared, read-only index arrays and the values data."""
-    return sp.csr_matrix((data, P.indices, P.indptr), shape=P.shape)
+    """The matrix with P's shared, read-only index arrays and the values data,
+    one per entry of P.  A shallow copy of P: the constructor would check the
+    index arrays again, at about the cost of a product with the matrix."""
+    A = copy.copy(P)
+    A.data = data
+    return A
 
 
 class RedBlack(NamedTuple):
     """The checkerboard split of a pattern: the red points ((ix + iy) even),
-    the black ones, and the pattern of B = A[red, black], whose data are the
-    positions of its entries in A's data."""
+    the black ones, the pattern of B = A[red, black], whose data are the
+    positions of its entries in A's data, the row and column of each of
+    those entries, and the pattern of B^T, whose data are the positions of
+    its entries in B's.  Every index array a solve gathers with is intp:
+    np.take converts any other index type first, at several times the cost
+    of the gather."""
 
     red: np.ndarray
     black: np.ndarray
     B: sp.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    Bt: sp.csr_matrix
 
 
 def _red_black(P: sp.csr_matrix, grid: Grid2D) -> RedBlack | None:
@@ -148,14 +162,18 @@ def _red_black(P: sp.csr_matrix, grid: Grid2D) -> RedBlack | None:
     if np.any(off & (black[rows] == black[P.indices])):
         return None
     red_at, black_at = np.flatnonzero(~black), np.flatnonzero(black)
-    rank = np.empty(n, dtype=P.indices.dtype)
+    idx = P.indices.dtype
+    rank = np.empty(n, dtype=idx)
     rank[black_at] = np.arange(black_at.size)
-    pos = np.flatnonzero(off & ~black[rows]).astype(P.indices.dtype)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[pos], minlength=n)[red_at])]).astype(P.indices.dtype)
+    rank[red_at] = np.arange(red_at.size)
+    pos = np.flatnonzero(off & ~black[rows])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[pos], minlength=n)[red_at])]).astype(idx)
     B = read_only(sp.csr_matrix((pos, rank[P.indices[pos]], indptr), shape=(red_at.size, black_at.size)))
-    red_at.setflags(write=False)
-    black_at.setflags(write=False)
-    return RedBlack(red_at, black_at, B)
+    Bt = sp.csr_matrix((np.arange(pos.size), B.indices, B.indptr), shape=B.shape).T.tocsr()
+    rows, cols = rank[rows[pos]].astype(np.intp), B.indices.astype(np.intp)
+    for a in (red_at, black_at, rows, cols):
+        a.setflags(write=False)
+    return RedBlack(red_at, black_at, B, rows, cols, read_only(Bt))
 
 
 @functools.lru_cache(maxsize=8)
@@ -165,12 +183,23 @@ def red_black_split(grid: Grid2D) -> RedBlack:
     return _red_black(laplacian_matrix(grid), grid)
 
 
-def _split(A: sp.csr_matrix, grid: Grid2D) -> RedBlack | None:
-    """The red-black split of A, cached when A is on L's pattern."""
+def _shares_pattern(A: sp.csr_matrix, P: sp.csr_matrix) -> bool:
+    """Whether A's index arrays are P's read-only ones, or views of all of
+    them: a comparison of addresses and layouts, not of values."""
+    return all(a.__array_interface__ == p.__array_interface__ for a, p in ((A.indices, P.indices), (A.indptr, P.indptr)))
+
+
+def _structure(A: sp.csr_matrix, grid: Grid2D) -> tuple[np.ndarray, RedBlack | None]:
+    """A's diagonal and its red-black split.  On L's or L^2's pattern, which
+    every assembled system shares, both are read from positions cached per
+    grid (L^2 joins points of one colour); any other matrix is split here."""
     L = laplacian_matrix(grid)
-    if A.shape == L.shape and np.array_equal(A.indptr, L.indptr) and np.array_equal(A.indices, L.indices):
-        return red_black_split(grid)
-    return _red_black(A, grid)
+    if _shares_pattern(A, L):
+        return A.data[diagonal_positions(grid, False)], red_black_split(grid)
+    # L^2 has more entries than L: no L^2 is built for a matrix that cannot be on it
+    if A.nnz > L.nnz and _shares_pattern(A, bilaplacian_matrix(grid)):
+        return A.data[diagonal_positions(grid, True)], None
+    return A.diagonal(), _red_black(A, grid)
 
 
 def assemble_u_system(v: ScalarField, g: ScalarField, params: ModelParams) -> LinearSystem:
@@ -291,24 +320,29 @@ def prolongations(grid: Grid2D) -> tuple[sp.csr_matrix, ...]:
     return tuple(out)
 
 
-def _rounding_floor(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> float:
+@functools.lru_cache(maxsize=8)
+def restrictions(grid: Grid2D) -> tuple[sp.csr_matrix, ...]:
+    """The restrictions R_k = P_k^T from level k to level k+1, finest first."""
+    return tuple(read_only(P.T.tocsr()) for P in prolongations(grid))
+
+
+def _rounding_floor(A: sp.csr_matrix, x: np.ndarray, b: np.ndarray) -> float:
     """Norm of the residual that rounding alone can leave in float64: each
     entry of b - A x takes one rounding per term (at most the row's nonzeros
     plus one), each up to eps of |A||x| + |b|."""
-    terms = 1 + int(np.max(sp.csr_matrix(A).getnnz(axis=1)))
-    return terms * np.finfo(float).eps * float(np.linalg.norm(_abs(A) @ np.abs(x) + np.abs(b)))
+    terms = 1 + int(np.max(np.diff(A.indptr)))
+    return terms * float(np.finfo(float).eps) * _norm(_abs(A) @ np.abs(x) + np.abs(b))
 
 
-def _abs(A: sp.spmatrix) -> sp.spmatrix:
-    """|A|, leaving A as it was: abs() sorts the indices of a CSR matrix in
-    place, which changes the rounding of every later product with it, so a
-    residual recomputed after solve would no longer be the one reported."""
-    B = A.copy()
-    np.abs(B.data, out=B.data)
-    return B
+def _abs(A: sp.csr_matrix) -> sp.csr_matrix:
+    """|A| on A's own index arrays, leaving A as it was: abs() sorts the
+    indices of a CSR matrix in place, which changes the rounding of every
+    later product with it, so a residual recomputed after solve would no
+    longer be the one reported; and a copy of A would copy its indices too."""
+    return _on_pattern(A, np.abs(A.data))
 
 
-def _abs_row_sums(A: sp.spmatrix) -> np.ndarray:
+def _abs_row_sums(A: sp.csr_matrix) -> np.ndarray:
     return _abs(A) @ np.ones(A.shape[1])
 
 
@@ -324,8 +358,7 @@ def multigrid_preconditioner(A: sp.csr_matrix, grid: Grid2D, row_sums: np.ndarra
     given, are A's l1 row sums, which solve has already computed.
     """
     levels = []
-    for P in prolongations(grid):
-        R = P.T.tocsr()
+    for P, R in zip(prolongations(grid), restrictions(grid)):
         D = _abs_row_sums(A) if row_sums is None else row_sums
         levels.append((A, _WEIGHTS[:, None] / D, P, R))
         A, row_sums = (R @ A @ P).tocsr(), None
@@ -364,19 +397,37 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, y))
 
 
-def _cg(A: sp.spmatrix, b: np.ndarray, x: np.ndarray, precond, stop: float, done: int, budget: int):
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(_dot(x, x))
+
+
+def _cg(A, b: np.ndarray, x: np.ndarray, precond, stop: float, done: int, budget: int, weight=None):
     """Preconditioned CG on A x = b from a copy of x, with r = b - A x and a
     fresh direction, until r . r < stop or the count, going on from done,
     reaches budget.  Returns the iterate and the count.  LinearSolveError,
-    with the count, if r . M r or p . A p is not positive (or is NaN)."""
+    with the count, if r . M r or p . A p is not positive (or is NaN).
+
+    precond None is the identity, for a system scaled by W^-1/2 on both
+    sides; the weight W then makes the stop test read the unscaled residual,
+    r . (W r).  That sum is taken only where its lower bound min(W) r . r
+    does not settle the test, with a margin of 1e-6, far above the rounding
+    of either sum, so every pass stops where the full test would.
+    """
     x = x.copy()
     r = b - A @ x
     p = rho_prev = None
+    if precond is None:
+        settled = stop * (1.0 + 1e-6) / float(np.min(weight))
     for k in range(done, budget):
-        if _dot(r, r) < stop:
-            return x, k
-        z = precond(r)
-        rho = _dot(r, z)
+        if precond is None:
+            z, rho = r, _dot(r, r)
+            if not rho >= settled and _dot(r, weight * r) < stop:
+                return x, k
+        else:
+            if _dot(r, r) < stop:
+                return x, k
+            z = precond(r)
+            rho = _dot(r, z)
         if not rho > 0:
             raise LinearSolveError("matrix is not positive definite", iterations=k)
         if p is None:
@@ -395,31 +446,53 @@ def _cg(A: sp.spmatrix, b: np.ndarray, x: np.ndarray, precond, stop: float, done
     return x, budget
 
 
+class _ScaledSchur(NamedTuple):
+    """I - C^T C, applied through C and C^T and never formed."""
+
+    C: sp.csr_matrix
+    Ct: sp.csr_matrix
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        return y - self.Ct @ (self.C @ y)
+
+
 def _reduced(A: sp.csr_matrix, b: np.ndarray, diag: np.ndarray, split: RedBlack):
     """The black points' system S x_k = b_k - B^T D_r^-1 b_r, with the Schur
-    complement S = D_k - B^T D_r^-1 B applied through B and B^T, never formed;
-    its Jacobi preconditioner D_k^-1; and the back-substitution x_k -> x,
-    x_r = (b_r - B x_k) / d_r.
+    complement S = D_k - B^T D_r^-1 B, scaled by D_k^-1/2 on both sides: the
+    operator I - C^T C with C = D_r^-1/2 B D_k^-1/2, its right-hand side
+    D_k^-1/2 b_k - C^T D_r^-1/2 b_r, the weight D_k that gives the unscaled
+    residual's norm, the scaled start x_k -> D_k^1/2 x_k, and the
+    back-substitution y -> x, x_k = D_k^-1/2 y, x_r = (b_r - B x_k) / d_r.
 
-    D_k scales S as Hageman & Young's reduced-system CG does (Applied Iterative
-    Methods, 1981, ch. 9): each of its iterates is every second iterate of
-    Jacobi-CG on A started with zero red residuals, so it needs half the
-    iterations at about the cost of one product with A each.
+    Unpreconditioned CG on the scaled system makes, in exact arithmetic, the
+    iterates of CG on S preconditioned by D_k, as Hageman & Young's
+    reduced-system CG does (Applied Iterative Methods, 1981, ch. 9): each is
+    every second iterate of Jacobi-CG on A started with zero red residuals,
+    so it needs half the iterations at about the cost of one product with A
+    each, and the scaling leaves no diagonal product and no preconditioner
+    in the loop.  C^T has its own CSR pattern, whose values are C's,
+    permuted: its products are faster than those with the CSC view C.T.
     """
-    B = _on_pattern(split.B, np.take(A.data, split.B.data))
-    Bt = B.T  # A is symmetric: A[black, red] is B^T, a view of B's arrays
     d_r, d_k = diag[split.red], diag[split.black]
-    inv_r = 1.0 / d_r
+    s_r, s_k = 1.0 / np.sqrt(d_r), 1.0 / np.sqrt(d_k)
+    B = _on_pattern(split.B, np.take(A.data, split.B.data))
+    c = np.take(s_r, split.rows)
+    c *= np.take(s_k, split.cols)
+    c *= B.data
+    C = _on_pattern(split.B, c)
+    Ct = _on_pattern(split.Bt, np.take(c, split.Bt.data))
     b_r = b[split.red]
-    S = LinearOperator((d_k.size, d_k.size), matvec=lambda y: d_k * y - Bt @ (inv_r * (B @ y)), dtype=float)
 
     def full(y: np.ndarray) -> np.ndarray:
         x = np.empty_like(b)
-        x[split.red] = (b_r - B @ y) / d_r
-        x[split.black] = y
+        x_k = x[split.black] = s_k * y
+        x[split.red] = (b_r - B @ x_k) / d_r
         return x
 
-    return S, b[split.black] - Bt @ (inv_r * b_r), functools.partial(np.multiply, 1.0 / d_k), full
+    def start(x: np.ndarray) -> np.ndarray:
+        return x[split.black] / s_k
+
+    return _ScaledSchur(C, Ct), s_k * b[split.black] - Ct @ (s_r * b_r), d_k, start, full
 
 
 def solve(
@@ -432,28 +505,33 @@ def solve(
     """Solve an SPD system to relative residual <= tol.
 
     method "cg" runs conjugate gradients from x0 (zero when None), in a
-    loop of the package's own whose inner products skip BLAS: its threads
-    cost more to wake than a product of vectors this short.  When every row
-    of the matrix is diagonally dominant and every off-diagonal entry joins
-    points of opposite colour ((ix + iy) even: red, odd: black), CG runs on
-    the black points' Schur complement S = D_k - B^T D_r^-1 B, B = A[red,
-    black], preconditioned by D_k; x0's red half is unused, and after each
-    pass the red values are back-substituted, x_r = (b_r - B x_k) / d_r,
-    which leaves the red rows' residual at rounding, so the reduced residual
-    is the full one.  Other diagonally dominant matrices take Jacobi on the
-    whole grid, the rest a multigrid V-cycle.  A pass stops once its
-    recursive residual r has r . r < (tol ||b||)^2; r drifts from the true
-    residual, so the solve restarts from its iterate, with r = b - A x and a
-    fresh direction, until that converges (below) or a pass gains nothing.
-    iterations counts the CG iterations summed over the passes, on the
-    reduced system when there is one; maxit (default 10 per unknown) caps
-    that sum, and hitting it returns the last iterate with converged=False
-    rather than raising.  b = 0 returns x = 0.  method "direct" uses a
-    sparse LU factorization and one refinement step, and ignores x0.  An x0
-    on another grid raises GridMismatchError either way.
+    loop of the package's own whose inner products and norms skip BLAS: its
+    threads cost more to wake than a product of vectors this short.  When
+    every off-diagonal entry of the matrix joins points of opposite colour
+    ((ix + iy) even: red, odd: black), CG runs on the black points' Schur
+    complement S = D_k - B^T D_r^-1 B, B = A[red, black], scaled by D_k^-1/2
+    on both sides, which makes the iterates of CG on S preconditioned by
+    D_k; x0's red half is unused, and after each pass the red values are
+    back-substituted, x_r = (b_r - B x_k) / d_r, which leaves the red rows'
+    residual at rounding, so the reduced residual is the full one.  Other
+    matrices take Jacobi on the whole grid when every row is diagonally
+    dominant, a multigrid V-cycle otherwise.  A pass stops once its
+    recursive residual r (on the reduced system, unscaled) has
+    r . r < (tol ||b||)^2; r drifts from the true residual, so the solve
+    restarts from its iterate, with r = b - A x and a fresh direction, until
+    that converges (below) or a pass gains nothing.  iterations counts the
+    CG iterations summed over the passes, on the reduced system when there
+    is one; maxit (default 10 per unknown; any other value must be a
+    non-negative integer, or InvalidInputError) caps that sum, and hitting
+    it returns the last iterate with converged=False rather than raising.
+    b = 0 returns x = 0.  A system an assembler built shares a pattern
+    cached per grid, and its diagonal and split are read from positions
+    cached with it, so that a solve pays little more than its iterations.
+    method "direct" uses a sparse LU factorization and one refinement step,
+    and ignores x0.  An x0 on another grid raises GridMismatchError either way.
 
     Both methods report the true residual ||b - A x|| / ||b|| and count as
-    converged when it meets tol or lies within the rounding error of
+    converged (a bool) when it meets tol or lies within the rounding error of
     evaluating b - A x: no float64 vector does better, and on stiff
     fourth-order systems that floor lies above 1e-10.  An exactly singular
     factor, a diagonal entry that is not positive (under CG, checked before
@@ -462,22 +540,24 @@ def solve(
     """
     if not tol > 0:
         raise InvalidInputError("solver tolerance must be positive")
+    if maxit is not None and (isinstance(maxit, bool) or not isinstance(maxit, (int, np.integer)) or maxit < 0):
+        raise InvalidInputError(f"maxit must be a non-negative integer, got {maxit!r}")
     if method not in ("direct", "cg"):
         raise InvalidInputError(f"unknown solver method {method!r}")
     if x0 is not None:
         same_grid(x0, sys.rhs)
 
-    A = sys.matrix
+    A = sys.matrix.tocsr()
     b = sys.rhs.values
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     scale = bnorm if bnorm > 0 else 1.0
 
     def judged(x: np.ndarray, iterations: int) -> SolveResult:
-        res = float(np.linalg.norm(b - A @ x)) / scale
-        if not np.isfinite(res):
+        res = _norm(b - A @ x) / scale
+        if not math.isfinite(res):
             raise LinearSolveError("matrix is not positive definite", residual=res, iterations=iterations)
         converged = res <= tol or res <= _rounding_floor(A, x, b) / scale
-        return SolveResult(ScalarField(sys.grid, x), res, iterations, converged)
+        return SolveResult(ScalarField(sys.grid, x), res, iterations, bool(converged))
 
     if method == "direct":
         # Factor without the explicit zeros a shared pattern can hold (they
@@ -492,29 +572,28 @@ def solve(
         del Ac
         x = lu.solve(b)
         r = b - A @ x
-        if float(np.linalg.norm(r)) / scale > tol:  # one step of iterative refinement
+        if _norm(r) / scale > tol:  # one step of iterative refinement
             x = x + lu.solve(r)
         return judged(x, 1)
 
     if bnorm == 0:
         return judged(np.zeros_like(b), 0)
-    diag = A.diagonal()
+    diag, split = _structure(A, sys.grid)
     if not np.all(diag > 0):
         raise LinearSolveError("matrix is not positive definite", iterations=0)
-    row_sums = _abs_row_sums(A)
     x = np.zeros_like(b) if x0 is None else x0.values
-    op, rhs, full = A, b, None
-    if not np.all(2.0 * diag >= row_sums):
-        precond = multigrid_preconditioner(A, sys.grid, row_sums)
-    elif (split := _split(A.tocsr(), sys.grid)) is None:
+    op, rhs, precond, weight, full = A, b, None, None, None
+    if split is not None:
+        op, rhs, weight, start, full = _reduced(A, b, diag, split)
+        x = start(x)
+    elif np.all(2.0 * diag >= (row_sums := _abs_row_sums(A))):
         precond = functools.partial(np.multiply, 1.0 / diag)
     else:
-        op, rhs, precond, full = _reduced(A.tocsr(), b, diag, split)
-        x = x[split.black]
+        precond = multigrid_preconditioner(A, sys.grid, row_sums)
     budget = 10 * sys.grid.npoints if maxit is None else maxit
     done, last = 0, np.inf
     while True:  # restart from the iterate while its true residual misses tol
-        x, done = _cg(op, rhs, x, precond, (tol * bnorm) ** 2, done, budget)
+        x, done = _cg(op, rhs, x, precond, (tol * bnorm) ** 2, done, budget, weight)
         out = judged(x if full is None else full(x), done)
         if out.converged or done >= budget or not out.residual < last:
             return out

@@ -7,6 +7,7 @@ from atseg.grid import (
     ScalarField,
     VectorField2,
     bilaplacian,
+    difference_matrices,
     div_adjoint,
     dot,
     dot_vec,
@@ -74,6 +75,17 @@ class TestGradient:
             lhs = dot_vec(grad_forward(f), p)
             rhs = -dot(f, div_adjoint(p))
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+    def test_taken_once_per_field(self):
+        # The energy of one outer iteration and the next edge-field assembly
+        # take the gradient of the same image.
+        g = Grid2D.for_image(9, 7)
+        f = random_field(g, np.random.default_rng(4))
+        grad = grad_forward(f)
+        Dx, Dy = difference_matrices(g)
+        assert grad_forward(f) is grad
+        assert np.array_equal(grad.x, Dx @ f.values) and np.array_equal(grad.y, Dy @ f.values)
+        assert grad_forward(ScalarField(g, f.values.copy())) is not grad
 
 
 class TestDivergence:

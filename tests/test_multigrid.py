@@ -17,7 +17,15 @@ from hypothesis.extra.numpy import arrays
 
 from atseg.energy import SQRT2, BoundaryKind, ModelKind, ModelParams
 from atseg.grid import Grid2D, ScalarField
-from atseg.linsolve import _WEIGHTS, _smooth, assemble_v_system_second_order, multigrid_preconditioner, prolongations, solve
+from atseg.linsolve import (
+    _WEIGHTS,
+    _smooth,
+    assemble_v_system_second_order,
+    multigrid_preconditioner,
+    prolongations,
+    restrictions,
+    solve,
+)
 from atseg.synth import PhantomKind, PhantomSpec, generate
 
 SIDES = st.integers(min_value=2, max_value=40)
@@ -154,6 +162,19 @@ def test_hierarchy_halves_each_long_side():
     # interpolation reproduces constants, the near-kernel of the Neumann L^2
     P = prolongations(Grid2D.for_image(20, 9))[0]
     assert np.allclose(P @ np.ones(P.shape[1]), 1.0)
+
+
+def test_restrictions_are_the_cached_transposes(monkeypatch):
+    # Built once per grid, read-only, and the only transposes a V-cycle takes.
+    grid = Grid2D.for_image(33, 17)
+    Rs = restrictions(grid)
+    assert restrictions(grid) is Rs
+    for P, R in zip(prolongations(grid), Rs, strict=True):
+        assert (R != P.T).nnz == 0 and not R.data.flags.writeable
+    u = ScalarField(grid, np.random.default_rng(5).random(grid.npoints))
+    sys = assemble_v_system_second_order(u, v_params(grid, BoundaryKind.NEUMANN))
+    monkeypatch.setattr(type(Rs[0]), "transpose", lambda *a, **k: pytest.fail("a V-cycle transposed P"))
+    multigrid_preconditioner(sys.matrix, grid)(sys.rhs.values)
 
 
 def test_cold_fourth_order_solve_takes_few_iterations():
