@@ -19,10 +19,10 @@ checkerboard colour (the 5-point u-system and first-order v-system) is
 solved on its black points: the red ones are eliminated, CG runs on the
 Schur complement scaled by the black half of A's diagonal on both sides,
 and the red values are back-substituted.  That takes half the iterations
-of Jacobi-CG on the whole grid, on vectors half as long.  Other diagonally
-dominant matrices take Jacobi-CG; the rest (the fourth-order v-system,
-whose condition number grows like h^-4) a symmetric geometric multigrid
-V-cycle.  Sparse LU on request, for reruns that must be bit-identical.
+of Jacobi-CG on the whole grid, on vectors half as long.  Every other
+matrix (the fourth-order v-system, whose condition number grows like h^-4)
+takes CG preconditioned by a symmetric geometric multigrid V-cycle.
+Sparse LU on request, for reruns that must be bit-identical.
 The V-cycle smooths with a Chebyshev polynomial in the l1-scaled operator,
 applied as l1-Jacobi sweeps damped by the inverses of its roots, which
 removes more error per product with the matrix than undamped sweeps do and
@@ -79,10 +79,6 @@ class LinearSystem:
     @property
     def grid(self) -> Grid2D:
         return self.rhs.grid
-
-    def apply(self, f: ScalarField) -> ScalarField:
-        same_grid(f, self.rhs)
-        return ScalarField(f.grid, self.matrix @ f.values)
 
 
 @dataclass(frozen=True)
@@ -342,26 +338,21 @@ def _abs(A: sp.csr_matrix) -> sp.csr_matrix:
     return _on_pattern(A, np.abs(A.data))
 
 
-def _abs_row_sums(A: sp.csr_matrix) -> np.ndarray:
-    return _abs(A) @ np.ones(A.shape[1])
-
-
-def multigrid_preconditioner(A: sp.csr_matrix, grid: Grid2D, row_sums: np.ndarray | None = None):
-    """Symmetric V-cycle r -> M r for an SPD matrix A on grid.
+def multigrid_preconditioner(A: sp.csr_matrix, grid: Grid2D):
+    """Symmetric V-cycle r -> M r for an SPD matrix A on grid, with which
+    solve preconditions CG on every matrix it cannot split red-black.
 
     Galerkin coarse operators P^T A P, the same Chebyshev smoother before and
     after each coarse correction, and a dense Cholesky solve on the coarsest
     level, which has at most MG_COARSEST^2 unknowns.  The l1 row sums D bound
     A from above, so D^-1 A has its spectrum in (0, 1], where the smoother's
     residual polynomial stays below 1 in magnitude: every smoothing contracts
-    in the A-norm, and M is symmetric positive definite.  row_sums, when
-    given, are A's l1 row sums, which solve has already computed.
+    in the A-norm, and M is symmetric positive definite.
     """
     levels = []
     for P, R in zip(prolongations(grid), restrictions(grid)):
-        D = _abs_row_sums(A) if row_sums is None else row_sums
-        levels.append((A, _WEIGHTS[:, None] / D, P, R))
-        A, row_sums = (R @ A @ P).tocsr(), None
+        levels.append((A, _WEIGHTS[:, None] / (_abs(A) @ np.ones(A.shape[1])), P, R))
+        A = (R @ A @ P).tocsr()
     try:
         coarse = cho_factor(A.toarray())
     except LinAlgError:
@@ -513,11 +504,10 @@ def solve(
     on both sides, which makes the iterates of CG on S preconditioned by
     D_k; x0's red half is unused, and after each pass the red values are
     back-substituted, x_r = (b_r - B x_k) / d_r, which leaves the red rows'
-    residual at rounding, so the reduced residual is the full one.  Other
-    matrices take Jacobi on the whole grid when every row is diagonally
-    dominant, a multigrid V-cycle otherwise.  A pass stops once its
-    recursive residual r (on the reduced system, unscaled) has
-    r . r < (tol ||b||)^2; r drifts from the true residual, so the solve
+    residual at rounding, so the reduced residual is the full one.  Every
+    other matrix takes CG preconditioned by a multigrid V-cycle.  A pass
+    stops once its recursive residual r (on the reduced system, unscaled)
+    has r . r < (tol ||b||)^2; r drifts from the true residual, so the solve
     restarts from its iterate, with r = b - A x and a fresh direction, until
     that converges (below) or a pass gains nothing.  iterations counts the
     CG iterations summed over the passes, on the reduced system when there
@@ -586,10 +576,8 @@ def solve(
     if split is not None:
         op, rhs, weight, start, full = _reduced(A, b, diag, split)
         x = start(x)
-    elif np.all(2.0 * diag >= (row_sums := _abs_row_sums(A))):
-        precond = functools.partial(np.multiply, 1.0 / diag)
     else:
-        precond = multigrid_preconditioner(A, sys.grid, row_sums)
+        precond = multigrid_preconditioner(A, sys.grid)
     budget = 10 * sys.grid.npoints if maxit is None else maxit
     done, last = 0, np.inf
     while True:  # restart from the iterate while its true residual misses tol

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator
-from scipy.special import ndtri
 
 from .edges import CirclePairEdge, EdgeDescription, EllipseEdge, VerticalLineEdge
 from .errors import InvalidInputError
@@ -69,6 +68,10 @@ class PhantomSpec:
 
 def _seeded_normal(seed: int, n: int) -> np.ndarray:
     """Standard normal draws: PCG64 integers -> uniform in (0, 1) -> inverse CDF."""
+    # Imported here: only a noisy phantom needs scipy.special, which would
+    # otherwise add to the start-up of every atseg command.
+    from scipy.special import ndtri
+
     rng = Generator(PCG64(seed))
     u = (rng.integers(0, 2**53, size=n).astype(float) + 0.5) / 2**53
     return ndtri(u)

@@ -320,3 +320,13 @@ def test_cli_import_leaves_integration_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_special_functions_unloaded():
+    # Only a noisy phantom draws from the inverse normal CDF; every other
+    # command starts without scipy.special.
+    code = "import sys, atseg.cli; print('scipy.special' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

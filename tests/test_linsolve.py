@@ -223,24 +223,17 @@ class TestSolve:
         "offdiag, even", [(0.0, 1.0), (0.3, 1.0), (0.3, -1.0)], ids=["0.0", "0.3", "negative-diagonal"]
     )
     def test_indefinite_system_raises_under_cg(self, offdiag, even):
-        # Diagonally dominant, so CG takes Jacobi.  With b = 1 the first
-        # preconditioned r.z is 0 on the diagonal of alternating sign, and
-        # negative on the negative one (where scipy's CG would converge, to
-        # the solution of a negative definite system).  Either is a breakdown,
-        # raised before any floating-point error.
+        # Each case has a negative diagonal entry.  solve rejects it before
+        # it reduces the system or builds a preconditioner, so the typed
+        # error comes before any floating-point error or iteration (scipy's
+        # CG would converge on the negative diagonal, to the solution of a
+        # negative definite system).
         grid = Grid2D(8, 8, 1 / 7)
         d = np.where(np.arange(64) % 2 == 0, even, -1.0)
         A = sp.diags([np.full(63, offdiag), d, np.full(63, offdiag)], [-1, 0, 1], format="csr")
         with np.errstate(all="raise"), pytest.raises(LinearSolveError) as exc:
             solve(LinearSystem(A, ScalarField.constant(grid, 1.0)), method="cg")
         assert exc.value.iterations == 0
-
-    def test_apply_is_the_matrix_action(self):
-        rng = np.random.default_rng(6)
-        grid = Grid2D(5, 5, 0.25)
-        x = ScalarField(grid, rng.random(25))
-        sys = assemble_v_system_first_order(ScalarField.constant(grid, 0.2), params())
-        assert np.allclose(sys.apply(x).values, sys.matrix @ x.values)
 
     def test_default_is_cg_on_a_small_grid(self, monkeypatch):
         # No size rule: 256 unknowns take CG too, and no factorization runs.
@@ -484,8 +477,8 @@ class TestRedBlack:
 
     @pytest.mark.parametrize("zero_at", [0, 1], ids=["red", "black"])
     def test_zero_diagonal_raises_before_dividing(self, zero_at):
-        # A zero row passes the diagonal-dominance test (0 >= 0); solve must
-        # raise its typed error, not divide by the zero.
+        # Both CG paths scale by the diagonal; solve must raise its typed
+        # error, not divide by the zero.
         grid = Grid2D(4, 4, 1 / 3)
         d = np.ones(16)
         d[zero_at] = 0.0
@@ -502,6 +495,38 @@ class TestRedBlack:
         with np.errstate(all="raise"), pytest.raises(LinearSolveError, match="not positive definite") as exc:
             solve(LinearSystem(A, ScalarField.constant(grid, 1.0)), method="cg")
         assert exc.value.iterations == 1
+
+
+@pytest.mark.parametrize("case", [*BoundaryKind, "wrapping-tridiagonal"], ids=["neumann", "dirichlet1", "wrapping"])
+def test_every_unsplit_matrix_takes_the_vcycle(monkeypatch, case):
+    # What red-black cannot split is preconditioned by the V-cycle, built
+    # once per solve and applied at every iteration, however dominant its
+    # diagonal: here every row is, in the fourth-order v-system at an edge
+    # width of 0.3 cells and in the tridiagonal whose rows wrap into one
+    # colour.
+    if case == "wrapping-tridiagonal":
+        grid = Grid2D(8, 8, 1 / 7)
+        A = sp.diags([np.full(63, -0.5), np.full(64, 2.0), np.full(63, -0.5)], [-1, 0, 1], format="csr")
+        sys = LinearSystem(A, ScalarField.constant(grid, 1.0))
+    else:
+        g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=32, ny=32, noise_sigma=0.1, seed=7))
+        p = params(eps=0.3 * g.grid.h, model=ModelKind.SECOND_ORDER_LAPLACIAN, bc=case)
+        sys = assemble_v_system_second_order(g, p)
+    dense = sys.matrix.toarray()
+    assert np.all(2.0 * np.diag(dense) >= np.abs(dense).sum(axis=1))
+    builds, applied = [], []
+    build = linsolve.multigrid_preconditioner
+
+    def counting(A, grid):
+        builds.append(grid)
+        M = build(A, grid)
+        return lambda r: applied.append(grid) or M(r)
+
+    monkeypatch.setattr(linsolve, "multigrid_preconditioner", counting)
+    r = solve(sys, tol=1e-10, method="cg")
+    assert r.converged and builds == [sys.grid] and len(applied) == r.iterations > 0
+    direct = solve(sys, method="direct").field.values
+    assert np.linalg.norm(r.field.values - direct) <= 1e-8 * np.linalg.norm(direct)
 
 
 def test_cached_structure_follows_each_systems_grid_and_pattern(monkeypatch):

@@ -36,8 +36,8 @@ UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=F
 
 def v_params(grid, bc):
     # An edge width of two cells and weak coupling: the fourth-order term
-    # outweighs the diagonal, so no row is diagonally dominant and solve
-    # preconditions CG with the V-cycle.
+    # outweighs the diagonal, so a Neumann system is not diagonally dominant
+    # and the smoother has a stiff operator to work on.
     return ModelParams(alpha=1e-2, beta=0.3, gamma=1.0, eps=2.0 * grid.h, eta=0.0, intensity_scale=1.0,
                        model=ModelKind.SECOND_ORDER_LAPLACIAN, bc=bc)
 
