@@ -22,21 +22,22 @@ from .grid import ScalarField
 PROFILE_D_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser, eps: bool = True) -> None:
     p.add_argument("--model", choices=["at", "laplacian"], default="at",
                    help="first-order (at) or second-order (laplacian) edge penalty")
     p.add_argument("--alpha", type=float, default=1e-2, help="gradient coupling weight")
     p.add_argument("--beta", type=float, default=0.3, help="edge-set weight")
     p.add_argument("--gamma", type=float, default=1e-3, help="data fidelity weight")
-    p.add_argument("--eps", type=float, default=3e-2, help="edge width parameter")
+    if eps:  # sweep takes its eps values from --eps-list
+        p.add_argument("--eps", type=float, default=3e-2, help="edge width parameter")
     p.add_argument("--eta", type=float, default=None,
                    help="gradient perturbation weight (default: eps^2)")
     p.add_argument("--intensity-scale", type=float, default=255.0,
                    help="intensity range alpha/gamma are quoted for (255 = 8-bit convention)")
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p)
+def _add_run_flags(p: argparse.ArgumentParser, eps: bool = True) -> None:
+    _add_model_flags(p, eps)
     p.add_argument("--bc", choices=["neumann", "dirichlet1"], default="neumann",
                    help="boundary handling for the second-order edge system")
     p.add_argument("--tol", type=float, default=1e-4, help="stop when e_k drops below this")
@@ -90,12 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1e-3)
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("sweep", help="run segment over a descending list of eps values")
+    # No abbreviations: --eps would otherwise be read as --eps-list.
+    p = sub.add_parser("sweep", help="run segment over a descending list of eps values", allow_abbrev=False)
     p.add_argument("input", type=Path)
     p.add_argument("--eps-list", type=str, required=True,
                    help="comma-separated descending eps values (at least two)")
     p.add_argument("--output", type=Path, default=None, help="CSV output; stdout when omitted")
-    _add_run_flags(p)
+    _add_run_flags(p, eps=False)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("energy", help="print the energy breakdown for given fields")

@@ -59,14 +59,24 @@ class ModelParams:
     intensity_scale: float = 255.0
 
     def __post_init__(self):
-        if self.eta is None:
-            object.__setattr__(self, "eta", self.eps**2)
         for name in ("alpha", "beta", "eps", "intensity_scale"):
             v = getattr(self, name)
             if not (v > 0 and np.isfinite(v)):
                 raise InvalidInputError(f"{name} must be strictly positive, got {v}")
         if not (self.gamma >= 0 and np.isfinite(self.gamma)):
             raise InvalidInputError(f"gamma must be nonnegative, got {self.gamma}")
+        try:
+            alpha_u, gamma_u = self.alpha_u, self.gamma_u
+        except OverflowError:  # intensity_scale**2 past the float range
+            alpha_u = gamma_u = np.inf
+        if not 0 < alpha_u < np.inf:
+            raise InvalidInputError(f"alpha * intensity_scale**2 must be positive and finite, got {alpha_u}")
+        if not (gamma_u < np.inf and (gamma_u > 0 or self.gamma == 0)):
+            raise InvalidInputError(f"gamma * intensity_scale**2 must be finite, and 0 only if gamma is, got {gamma_u}")
+        if self.eta is None:
+            if not self.eps < 1:
+                raise InvalidInputError(f"the default eta = eps**2 needs eps < 1, got eps={self.eps}")
+            object.__setattr__(self, "eta", self.eps**2)
         if not (0 <= self.eta < self.eps):
             raise InvalidInputError(f"eta must satisfy 0 <= eta < eps, got eta={self.eta}")
 

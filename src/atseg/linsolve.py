@@ -10,8 +10,9 @@ and the first-order v-system, L^2's for the fourth-order one.  The patterns,
 their diagonal positions, the u-system's value map, the red-black split of
 L's pattern (with the pattern of its transpose) and the multigrid
 transfers are cached per grid.  Each assembly writes only a new values
-array on the shared, read-only index arrays, and a solve recognizes them
-by address, so that a CG solve pays little besides its iterations.
+array on the shared, read-only index arrays, and a solve that finds those
+very arrays in its matrix reads the diagonal and split from the cache, so
+that a CG solve pays little besides its iterations.
 
 Solver policy: conjugate gradients at every grid size, chosen from the
 matrix.  A matrix whose off-diagonal entries all join points of opposite
@@ -179,22 +180,15 @@ def red_black_split(grid: Grid2D) -> RedBlack:
     return _red_black(laplacian_matrix(grid), grid)
 
 
-def _shares_pattern(A: sp.csr_matrix, P: sp.csr_matrix) -> bool:
-    """Whether A's index arrays are P's read-only ones, or views of all of
-    them: a comparison of addresses and layouts, not of values."""
-    return all(a.__array_interface__ == p.__array_interface__ for a, p in ((A.indices, P.indices), (A.indptr, P.indptr)))
-
-
 def _structure(A: sp.csr_matrix, grid: Grid2D) -> tuple[np.ndarray, RedBlack | None]:
-    """A's diagonal and its red-black split.  On L's or L^2's pattern, which
-    every assembled system shares, both are read from positions cached per
-    grid (L^2 joins points of one colour); any other matrix is split here."""
-    L = laplacian_matrix(grid)
-    if _shares_pattern(A, L):
-        return A.data[diagonal_positions(grid, False)], red_black_split(grid)
-    # L^2 has more entries than L: no L^2 is built for a matrix that cannot be on it
-    if A.nnz > L.nnz and _shares_pattern(A, bilaplacian_matrix(grid)):
-        return A.data[diagonal_positions(grid, True)], None
+    """A's diagonal and its red-black split.  An assembled system holds the
+    very index arrays of L's or L^2's cached pattern, so both are read from
+    positions cached per grid (L^2 joins points of one colour); any other
+    matrix, a copy or view of those arrays included, is split here."""
+    for second_order in (False, True):
+        P = bilaplacian_matrix(grid) if second_order else laplacian_matrix(grid)
+        if A.indices is P.indices and A.indptr is P.indptr:
+            return A.data[diagonal_positions(grid, second_order)], None if second_order else red_black_split(grid)
     return A.diagonal(), _red_black(A, grid)
 
 
@@ -394,31 +388,27 @@ def _norm(x: np.ndarray) -> float:
 
 def _cg(A, b: np.ndarray, x: np.ndarray, precond, stop: float, done: int, budget: int, weight=None):
     """Preconditioned CG on A x = b from a copy of x, with r = b - A x and a
-    fresh direction, until r . r < stop or the count, going on from done,
-    reaches budget.  Returns the iterate and the count.  LinearSolveError,
-    with the count, if r . M r or p . A p is not positive (or is NaN).
+    fresh direction, until the residual's squared norm falls below stop or
+    the count, going on from done, reaches budget.  Returns the iterate and
+    the count.  LinearSolveError, with the count, if r . M r or p . A p is
+    not positive (or is NaN).  precond None is the identity.
 
-    precond None is the identity, for a system scaled by W^-1/2 on both
-    sides; the weight W then makes the stop test read the unscaled residual,
-    r . (W r).  That sum is taken only where its lower bound min(W) r . r
-    does not settle the test, with a margin of 1e-6, far above the rounding
-    of either sum, so every pass stops where the full test would.
+    The residual's squared norm is r . r, or r . (W r) for a weight W: that
+    of the unscaled residual of a system scaled by W^-1/2 on both sides.
+    The weighted sum is taken only where its lower bound min(W) r . r does
+    not settle the test, with a margin of 1e-6, far above the rounding of
+    either sum, so every pass stops where the full test would.
     """
     x = x.copy()
     r = b - A @ x
     p = rho_prev = None
-    if precond is None:
-        settled = stop * (1.0 + 1e-6) / float(np.min(weight))
+    settled = stop * (1.0 + 1e-6) / (1.0 if weight is None else float(np.min(weight)))
     for k in range(done, budget):
-        if precond is None:
-            z, rho = r, _dot(r, r)
-            if not rho >= settled and _dot(r, weight * r) < stop:
-                return x, k
-        else:
-            if _dot(r, r) < stop:
-                return x, k
-            z = precond(r)
-            rho = _dot(r, z)
+        rr = _dot(r, r)
+        if not rr >= settled and (rr if weight is None else _dot(r, weight * r)) < stop:
+            return x, k
+        z = r if precond is None else precond(r)
+        rho = rr if z is r else _dot(r, z)
         if not rho > 0:
             raise LinearSolveError("matrix is not positive definite", iterations=k)
         if p is None:
@@ -447,12 +437,12 @@ class _ScaledSchur(NamedTuple):
         return y - self.Ct @ (self.C @ y)
 
 
-def _reduced(A: sp.csr_matrix, b: np.ndarray, diag: np.ndarray, split: RedBlack):
+def _reduced(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray, diag: np.ndarray, split: RedBlack):
     """The black points' system S x_k = b_k - B^T D_r^-1 b_r, with the Schur
     complement S = D_k - B^T D_r^-1 B, scaled by D_k^-1/2 on both sides: the
     operator I - C^T C with C = D_r^-1/2 B D_k^-1/2, its right-hand side
-    D_k^-1/2 b_k - C^T D_r^-1/2 b_r, the weight D_k that gives the unscaled
-    residual's norm, the scaled start x_k -> D_k^1/2 x_k, and the
+    D_k^-1/2 b_k - C^T D_r^-1/2 b_r, the start D_k^1/2 x_k scaled from x, the
+    weight D_k that gives the unscaled residual's norm, and the
     back-substitution y -> x, x_k = D_k^-1/2 y, x_r = (b_r - B x_k) / d_r.
 
     Unpreconditioned CG on the scaled system makes, in exact arithmetic, the
@@ -480,10 +470,7 @@ def _reduced(A: sp.csr_matrix, b: np.ndarray, diag: np.ndarray, split: RedBlack)
         x[split.red] = (b_r - B @ x_k) / d_r
         return x
 
-    def start(x: np.ndarray) -> np.ndarray:
-        return x[split.black] / s_k
-
-    return _ScaledSchur(C, Ct), s_k * b[split.black] - Ct @ (s_r * b_r), d_k, start, full
+    return _ScaledSchur(C, Ct), s_k * b[split.black] - Ct @ (s_r * b_r), x[split.black] / s_k, d_k, full
 
 
 def solve(
@@ -514,9 +501,9 @@ def solve(
     is one; maxit (default 10 per unknown; any other value must be a
     non-negative integer, or InvalidInputError) caps that sum, and hitting
     it returns the last iterate with converged=False rather than raising.
-    b = 0 returns x = 0.  A system an assembler built shares a pattern
-    cached per grid, and its diagonal and split are read from positions
-    cached with it, so that a solve pays little more than its iterations.
+    b = 0 returns x = 0.  A system an assembler built holds the index
+    arrays of a pattern cached per grid, and its diagonal and split are read
+    from positions cached with it; for any other matrix they are computed.
     method "direct" uses a sparse LU factorization and one refinement step,
     and ignores x0.  An x0 on another grid raises GridMismatchError either way.
 
@@ -572,12 +559,10 @@ def solve(
     if not np.all(diag > 0):
         raise LinearSolveError("matrix is not positive definite", iterations=0)
     x = np.zeros_like(b) if x0 is None else x0.values
-    op, rhs, precond, weight, full = A, b, None, None, None
-    if split is not None:
-        op, rhs, weight, start, full = _reduced(A, b, diag, split)
-        x = start(x)
+    if split is None:
+        op, rhs, precond, weight, full = A, b, multigrid_preconditioner(A, sys.grid), None, None
     else:
-        precond = multigrid_preconditioner(A, sys.grid)
+        precond, (op, rhs, x, weight, full) = None, _reduced(A, b, x, diag, split)
     budget = 10 * sys.grid.npoints if maxit is None else maxit
     done, last = 0, np.inf
     while True:  # restart from the iterate while its true residual misses tol

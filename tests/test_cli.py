@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,14 @@ class TestSweep:
         # 0.05 < 0.1 and 0.2, though not below the unused --eps default (3e-2).
         assert main(["sweep", str(img), "--eps-list", "0.2,0.1", "--eta", "0.05"]) == 0
 
+    def test_eps_flag_is_not_accepted(self, tmp_path):
+        # sweep takes its eps values from --eps-list alone
+        img = tmp_path / "c.pgm"
+        write_constant_pgm(img)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(img), "--eps-list", "0.08,0.04", "--eps", "0.05"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("flags", [["--eps-list", "0.2,0.01", "--eta", "0.05"], ["--eps-list", "0.1,-1"]])
     def test_every_eps_checked_before_any_output(self, tmp_path, capsys, flags):
         img = tmp_path / "c.pgm"
@@ -295,6 +304,15 @@ class TestEnergy:
         with pytest.raises(SystemExit) as exc:
             main(["energy", str(img), flag, value])
         assert exc.value.code == 2
+
+    def test_overflowing_weight_is_an_error(self, tmp_path, capsys):
+        # alpha_u = alpha * 255^2 overflows to inf: an error, not a non-finite energy
+        img = tmp_path / "c.pgm"
+        write_constant_pgm(img)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["energy", str(img), "--alpha", "1e306"]) == 1
+        assert "error: alpha * intensity_scale**2 must be positive and finite" in capsys.readouterr().err
 
 
 class TestNonFiniteInput:

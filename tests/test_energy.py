@@ -37,12 +37,20 @@ class TestModelParams:
 
     @pytest.mark.parametrize("kw", [
         dict(alpha=0.0), dict(beta=-1.0), dict(eps=0.0), dict(gamma=-1e-3), dict(eta=1.0),
+        # finite and positive on their own, but alpha_u or gamma_u (the
+        # product with intensity_scale**2) overflows or underflows
+        dict(alpha=1e306), dict(gamma=1e306), dict(intensity_scale=1e200),
+        dict(alpha=1e-200, intensity_scale=1e-100), dict(gamma=1e-200, intensity_scale=1e-100),
     ])
     def test_invalid(self, kw):
         base = dict(alpha=1e-2, beta=0.3, gamma=1e-3, eps=3e-2)
         base.update(kw)
         with pytest.raises(InvalidInputError):
             ModelParams(**base)
+
+    def test_default_eta_needs_eps_below_one(self):
+        with pytest.raises(InvalidInputError, match=r"default eta = eps\*\*2 needs eps < 1"):
+            ModelParams(alpha=1e-2, beta=0.3, gamma=1e-3, eps=1.0)
 
 
 class TestEdgeSetTerms:

@@ -556,6 +556,20 @@ def test_cached_structure_follows_each_systems_grid_and_pattern(monkeypatch):
     assert foreign == [other, other]
 
 
+@pytest.mark.parametrize("kind", ["u", "second-order-v"])
+def test_matrix_viewing_a_cached_pattern_is_solved(kind):
+    # A new matrix object on views of an assembled system's index arrays is
+    # not recognized as the cached pattern: it takes the split computed from
+    # its own entries, and must come to the same solution.
+    g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=32, ny=32, noise_sigma=0.1, seed=3))
+    sys = system_of(kind, g)
+    wrapped = LinearSystem(sp.csr_matrix(sys.matrix), sys.rhs)
+    r = solve(wrapped, tol=1e-10, method="cg")
+    direct = solve(sys, method="direct").field.values
+    assert r.converged
+    assert np.linalg.norm(r.field.values - direct) <= 1e-8 * np.linalg.norm(direct)
+
+
 def test_transpose_pattern_holds_the_permuted_values():
     grid = Grid2D.for_image(47, 33)
     split = linsolve.red_black_split(grid)
