@@ -65,6 +65,8 @@ class ModelParams:
                 raise InvalidInputError(f"{name} must be strictly positive, got {v}")
         if not (self.gamma >= 0 and np.isfinite(self.gamma)):
             raise InvalidInputError(f"gamma must be nonnegative, got {self.gamma}")
+        # alpha_u and gamma_u take Python floats: a product past the float
+        # range is then inf without the RuntimeWarning numpy scalars emit.
         try:
             alpha_u, gamma_u = self.alpha_u, self.gamma_u
         except OverflowError:  # intensity_scale**2 past the float range
@@ -83,12 +85,12 @@ class ModelParams:
     @property
     def alpha_u(self) -> float:
         """Coupling weight acting on [0, 1]-normalized image gradients."""
-        return self.alpha * self.intensity_scale**2
+        return float(self.alpha) * float(self.intensity_scale) ** 2
 
     @property
     def gamma_u(self) -> float:
         """Fidelity weight acting on [0, 1]-normalized image differences."""
-        return self.gamma * self.intensity_scale**2
+        return float(self.gamma) * float(self.intensity_scale) ** 2
 
 
 @dataclass(frozen=True)

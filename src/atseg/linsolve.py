@@ -33,6 +33,9 @@ residual of the field it returns, and CG restarts while that misses tol.
 The CG loop is the package's own, not scipy's, so that its inner products
 stay off BLAS: OpenBLAS splits a dot product of more than ~10^4 entries over
 its threads, and on vectors this short waking them costs more than the product.
+The V-cycle's coarsest solve is a product with an inverse taken by numpy, and
+scipy's sparse LU is imported on the first direct solve, so a process that
+only runs CG loads neither scipy.linalg nor scipy.sparse.linalg.
 """
 
 from __future__ import annotations
@@ -45,8 +48,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.sparse.linalg import splu
 
 from .energy import SQRT2, BoundaryKind, ModelParams
 from .errors import DegenerateSystemError, InvalidInputError, LinearSolveError
@@ -337,8 +338,10 @@ def multigrid_preconditioner(A: sp.csr_matrix, grid: Grid2D):
     solve preconditions CG on every matrix it cannot split red-black.
 
     Galerkin coarse operators P^T A P, the same Chebyshev smoother before and
-    after each coarse correction, and a dense Cholesky solve on the coarsest
-    level, which has at most MG_COARSEST^2 unknowns.  The l1 row sums D bound
+    after each coarse correction, and on the coarsest level, which has at
+    most MG_COARSEST^2 unknowns, a product with the dense inverse L^-T L^-1
+    of its Cholesky factor L: symmetric by construction, and numpy's, so
+    that no CG run loads scipy.linalg.  The l1 row sums D bound
     A from above, so D^-1 A has its spectrum in (0, 1], where the smoother's
     residual polynomial stays below 1 in magnitude: every smoothing contracts
     in the A-norm, and M is symmetric positive definite.
@@ -348,9 +351,10 @@ def multigrid_preconditioner(A: sp.csr_matrix, grid: Grid2D):
         levels.append((A, _WEIGHTS[:, None] / (_abs(A) @ np.ones(A.shape[1])), P, R))
         A = (R @ A @ P).tocsr()
     try:
-        coarse = cho_factor(A.toarray())
-    except LinAlgError:
+        Li = np.linalg.inv(np.linalg.cholesky(A.toarray()))
+    except np.linalg.LinAlgError:
         raise LinearSolveError("matrix is not positive definite") from None
+    coarse = Li.T @ Li
     # A module-level function, not a closure that calls itself: that would be
     # a reference cycle, and each solve's hierarchy would wait for the cyclic
     # garbage collector.
@@ -368,7 +372,7 @@ def _vcycle(levels, coarse, r: np.ndarray, k: int = 0) -> np.ndarray:
     """M r from level k down: smooth from zero (the first sweep is scaled[0] r),
     correct from level k+1, smooth again.  2 * MG_DEGREE products with A."""
     if k == len(levels):
-        return cho_solve(coarse, r)
+        return coarse @ r
     A, scaled, P, R = levels[k]
     x = scaled[0] * r
     _smooth(A, scaled[1:], x, r)
@@ -471,6 +475,15 @@ def _reduced(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray, diag: np.ndarray, s
         return x
 
     return _ScaledSchur(C, Ct), s_k * b[split.black] - Ct @ (s_r * b_r), x[split.black] / s_k, d_k, full
+
+
+def splu(A: sp.csc_matrix, **options):
+    """scipy's sparse LU of A, imported on the first factorization: only
+    method "direct" factors, and scipy.sparse.linalg would otherwise load in
+    every atseg process."""
+    from scipy.sparse.linalg import splu
+
+    return splu(A, **options)
 
 
 def solve(

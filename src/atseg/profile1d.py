@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solveh_banded
 
 from .errors import InvalidInputError
 
@@ -102,6 +101,10 @@ def discrete_transition_minimum(d: float, T: float = 20.0, n: int = 4001) -> flo
         raise InvalidInputError("transition interval must satisfy T >= 10")
     if n < 101:
         raise InvalidInputError("need at least 101 samples")
+    # Imported here, as simpson is in profile_energy: only `profile` and the
+    # tests need scipy.linalg.
+    from scipy.linalg import solveh_banded
+
     tau = T / (n - 1)
 
     # mass weights: ghost node 0, full cells inside, half cell at the right end

@@ -247,7 +247,8 @@ class TestSweep:
     def test_explicit_eta_checked_against_each_eps(self, tmp_path):
         img = tmp_path / "c.pgm"
         write_constant_pgm(img)
-        # 0.05 < 0.1 and 0.2, though not below the unused --eps default (3e-2).
+        # 0.05 < 0.1 and 0.2, though not below 3e-2, the --eps default of
+        # segment and energy; sweep takes no --eps.
         assert main(["sweep", str(img), "--eps-list", "0.2,0.1", "--eta", "0.05"]) == 0
 
     def test_eps_flag_is_not_accepted(self, tmp_path):
@@ -330,21 +331,22 @@ def test_profile_too_many_samples():
     assert main(["profile", "--tmax", "1e12"]) == 1
 
 
-def test_cli_import_leaves_integration_unloaded():
-    # Only `profile` integrates; every other command starts without
-    # scipy.integrate and the scipy.optimize it imports.
-    code = "import sys, atseg.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+# Each is imported where a command needs it: scipy.integrate (which imports
+# scipy.optimize) for `profile`'s quadrature, scipy.special for a noisy
+# phantom's inverse normal CDF, scipy.linalg for `profile`'s banded solve and
+# scipy.sparse.linalg for --solver direct.  A CG segment loads none of them.
+ON_DEMAND = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse.linalg")
+
+
+@pytest.mark.parametrize("model", [None, "at", "laplacian"], ids=["import", "segment-at", "segment-laplacian"])
+def test_fresh_interpreter_leaves_on_demand_modules_unloaded(tmp_path, model):
+    code = "import sys, atseg.cli"
+    if model is not None:
+        img = synth_phantom(tmp_path, nx=32, ny=32, sigma=0.1, seed=7)
+        argv = ["segment", str(img), "--output-dir", str(tmp_path / "out"), "--model", model]
+        code += f"; assert atseg.cli.main({argv!r}) == 0"
+    code += f"; print(sorted(m for m in {ON_DEMAND!r} if m in sys.modules))"
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
-
-
-def test_cli_import_leaves_special_functions_unloaded():
-    # Only a noisy phantom draws from the inverse normal CDF; every other
-    # command starts without scipy.special.
-    code = "import sys, atseg.cli; print('scipy.special' in sys.modules)"
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,12 +43,16 @@ class TestModelParams:
         # product with intensity_scale**2) overflows or underflows
         dict(alpha=1e306), dict(gamma=1e306), dict(intensity_scale=1e200),
         dict(alpha=1e-200, intensity_scale=1e-100), dict(gamma=1e-200, intensity_scale=1e-100),
+        # numpy scalars, whose overflow would warn before the error
+        dict(alpha=np.float64(1e306)), dict(gamma=np.float64(1e306)), dict(intensity_scale=np.float64(1e200)),
     ])
     def test_invalid(self, kw):
         base = dict(alpha=1e-2, beta=0.3, gamma=1e-3, eps=3e-2)
         base.update(kw)
-        with pytest.raises(InvalidInputError):
-            ModelParams(**base)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                ModelParams(**base)
 
     def test_default_eta_needs_eps_below_one(self):
         with pytest.raises(InvalidInputError, match=r"default eta = eps\*\*2 needs eps < 1"):

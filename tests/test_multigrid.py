@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from atseg.energy import SQRT2, BoundaryKind, ModelKind, ModelParams
+from atseg.errors import LinearSolveError
 from atseg.grid import Grid2D, ScalarField
 from atseg.linsolve import (
     _WEIGHTS,
     _smooth,
     assemble_v_system_second_order,
+    diagonal_positions,
     multigrid_preconditioner,
     prolongations,
     restrictions,
@@ -175,6 +177,22 @@ def test_restrictions_are_the_cached_transposes(monkeypatch):
     sys = assemble_v_system_second_order(u, v_params(grid, BoundaryKind.NEUMANN))
     monkeypatch.setattr(type(Rs[0]), "transpose", lambda *a, **k: pytest.fail("a V-cycle transposed P"))
     multigrid_preconditioner(sys.matrix, grid)(sys.rhs.values)
+
+
+@pytest.mark.parametrize("entry", ["nan-off-diagonal", "inf-diagonal"])
+def test_non_finite_entry_is_a_solve_error(entry):
+    # An infinite diagonal entry passes the check that the diagonal is
+    # positive; either entry makes the V-cycle return NaN, a CG breakdown.
+    grid = Grid2D.for_image(32, 32)
+    u = ScalarField(grid, np.random.default_rng(3).random(grid.npoints))
+    sys = assemble_v_system_second_order(u, v_params(grid, BoundaryKind.NEUMANN))
+    diag = diagonal_positions(grid, True)
+    if entry == "inf-diagonal":
+        sys.matrix.data[diag[100]] = np.inf
+    else:
+        sys.matrix.data[np.setdiff1d(np.arange(sys.matrix.nnz), diag)[100]] = np.nan
+    with pytest.raises(LinearSolveError, match="not positive definite"):
+        solve(sys, method="cg")
 
 
 def test_cold_fourth_order_solve_takes_few_iterations():
