@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -338,8 +339,9 @@ def test_profile_too_many_samples():
 ON_DEMAND = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse.linalg")
 
 
-@pytest.mark.parametrize("model", [None, "at", "laplacian"], ids=["import", "segment-at", "segment-laplacian"])
-def test_fresh_interpreter_leaves_on_demand_modules_unloaded(tmp_path, model):
+def _on_demand_loaded(tmp_path, model=None):
+    """Which ON_DEMAND modules a fresh interpreter holds after importing the
+    CLI and, if a model is given, segmenting a small phantom with it."""
     code = "import sys, atseg.cli"
     if model is not None:
         img = synth_phantom(tmp_path, nx=32, ny=32, sigma=0.1, seed=7)
@@ -349,4 +351,21 @@ def test_fresh_interpreter_leaves_on_demand_modules_unloaded(tmp_path, model):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "[]"
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_integration_unloaded(tmp_path):
+    # Only `profile` integrates; every other command starts without
+    # scipy.integrate and the scipy.optimize it imports.
+    assert not {"scipy.integrate", "scipy.optimize"} & set(_on_demand_loaded(tmp_path))
+
+
+def test_cli_import_leaves_special_functions_unloaded(tmp_path):
+    # Only a noisy phantom draws from the inverse normal CDF; every other
+    # command starts without scipy.special.
+    assert "scipy.special" not in _on_demand_loaded(tmp_path)
+
+
+@pytest.mark.parametrize("model", [None, "at", "laplacian"], ids=["import", "segment-at", "segment-laplacian"])
+def test_fresh_interpreter_leaves_on_demand_modules_unloaded(tmp_path, model):
+    assert _on_demand_loaded(tmp_path, model) == []
