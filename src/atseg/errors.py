@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check they share."""
+
+import numbers
 
 
 class AtsegError(Exception):
@@ -36,3 +38,9 @@ class PgmParseError(AtsegError, ValueError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+def require_count(name: str, value, minimum: int) -> None:
+    """InvalidInputError unless value is an integer, not a bool, of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidInputError(f"{name} must be an integer of at least {minimum}, got {value!r}")

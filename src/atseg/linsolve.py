@@ -50,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .energy import SQRT2, BoundaryKind, ModelParams
-from .errors import DegenerateSystemError, InvalidInputError, LinearSolveError
+from .errors import DegenerateSystemError, InvalidInputError, LinearSolveError, require_count
 from .grid import (
     Grid2D,
     ScalarField,
@@ -530,8 +530,8 @@ def solve(
     """
     if not tol > 0:
         raise InvalidInputError("solver tolerance must be positive")
-    if maxit is not None and (isinstance(maxit, bool) or not isinstance(maxit, (int, np.integer)) or maxit < 0):
-        raise InvalidInputError(f"maxit must be a non-negative integer, got {maxit!r}")
+    if maxit is not None:
+        require_count("maxit", maxit, 0)
     if method not in ("direct", "cg"):
         raise InvalidInputError(f"unknown solver method {method!r}")
     if x0 is not None:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_count
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -99,8 +99,7 @@ def discrete_transition_minimum(d: float, T: float = 20.0, n: int = 4001) -> flo
     """
     if T < 10:
         raise InvalidInputError("transition interval must satisfy T >= 10")
-    if n < 101:
-        raise InvalidInputError("need at least 101 samples")
+    require_count("n", n, 101)
     # Imported here, as simpson is in profile_energy: only `profile` and the
     # tests need scipy.linalg.
     from scipy.linalg import solveh_banded

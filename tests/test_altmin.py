@@ -158,6 +158,9 @@ class TestRun:
             run(g, params(), tol=0.0)
         with pytest.raises(InvalidInputError):
             run(g, params(), maxit=0)
+        for maxit in (2.5, "3", True):
+            with pytest.raises(InvalidInputError, match="maxit"):
+                run(g, params(), maxit=maxit)
         bad = ScalarField.constant(Grid2D.for_image(8, 8), 1.5)
         with pytest.raises(InvalidInputError):
             run(bad, params())
@@ -177,6 +180,75 @@ class TestRun:
             run(g, params())
         assert exc.value.iterations == 37
         assert "outer iteration 1" in str(exc.value)
+
+
+def segmenting_params(model=ModelKind.FIRST_ORDER_AT):
+    return ModelParams(alpha=1.0, beta=0.3, gamma=100.0, eps=3e-2, intensity_scale=1.0, model=model)
+
+
+class TestExtrapolation:
+    def test_exact_on_an_affine_map(self):
+        # With as many differences as unknowns, type-II Anderson on an affine
+        # contraction G(x) = M x + c lands on its fixed point.
+        M = np.array([[0.5, 0.2], [-0.1, 0.7]])
+        c = np.array([1.0, -2.0])
+        s = np.zeros(2)
+        gs, fs = [], []
+        for _ in range(3):
+            gs.append(M @ s + c)
+            fs.append(gs[-1] - s)
+            s = gs[-1]
+        fixed = np.linalg.solve(np.eye(2) - M, c)
+        assert np.allclose(altmin._anderson(gs, fs), fixed, rtol=0, atol=1e-12)
+
+    def test_rank_deficient_history_drops_differences(self):
+        rng = np.random.default_rng(0)
+        g0, f0, d = rng.random(16), rng.random(16), rng.random(16)
+        # no difference left: no extrapolation
+        assert altmin._anderson([g0, g0, g0], [f0, f0, f0]) is None
+        assert altmin._anderson([g0], [f0]) is None
+        # parallel differences: the older one is dropped, the fit uses the newer
+        gs, fs = [g0, g0 + d, g0 + 3 * d], [f0, f0 + d, f0 + 3 * d]
+        assert np.allclose(altmin._anderson(gs, fs), altmin._anderson(gs[1:], fs[1:]), rtol=0, atol=1e-14)
+
+    def test_cuts_outer_iterations_on_a_segmenting_run(self):
+        # Without extrapolation this run takes 40 outer iterations; with it, 19.
+        g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=64, ny=64, noise_sigma=0.1, seed=12))
+        res = run(g, segmenting_params())
+        assert res.report.converged
+        assert res.report.iterations <= 30
+        totals = [e.breakdown.total for e in res.report.entries]
+        slack = 1e-10 * (1.0 + totals[0])
+        assert all(b <= a + slack for a, b in zip(totals, totals[1:]))
+
+    def test_rejected_extrapolation_is_redone_from_the_plain_iterate(self, monkeypatch):
+        # Each rejected start costs one more v-solve than the recorded
+        # iterations, and the recorded totals still never increase.
+        g, _ = generate(PhantomSpec(PhantomKind.ELLIPSE, nx=32, ny=32, noise_sigma=0.1, seed=12))
+        v_systems, v_solves = set(), []
+
+        def tagged(assemble):
+            def wrapper(*args, **kwargs):
+                sys = assemble(*args, **kwargs)
+                v_systems.add(id(sys))
+                return sys
+
+            return wrapper
+
+        def counting(sys, *args, **kwargs):
+            if id(sys) in v_systems:
+                v_systems.discard(id(sys))
+                v_solves.append(sys)
+            return solve(sys, *args, **kwargs)
+
+        monkeypatch.setattr(altmin, "assemble_v_system_second_order", tagged(assemble_v_system_second_order))
+        monkeypatch.setattr(altmin, "solve", counting)
+        res = run(g, segmenting_params(ModelKind.SECOND_ORDER_LAPLACIAN), solver="direct")
+        assert res.report.converged
+        assert len(v_solves) > res.report.iterations
+        totals = [e.breakdown.total for e in res.report.entries]
+        slack = 1e-10 * (1.0 + totals[0])
+        assert all(b <= a + slack for a, b in zip(totals, totals[1:]))
 
 
 @pytest.mark.parametrize("model", list(ModelKind))

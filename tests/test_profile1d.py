@@ -108,6 +108,9 @@ class TestDiscreteMinimum:
             discrete_transition_minimum(0.0, T=5.0)
         with pytest.raises(InvalidInputError):
             discrete_transition_minimum(0.0, n=50)
+        for n in (201.5, True, "201"):
+            with pytest.raises(InvalidInputError, match="n must be an integer"):
+                discrete_transition_minimum(0.0, n=n)
 
 
 class TestHermiteBridge:
