@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import altmin, edges, imgio, profile1d, synth
+from . import altmin, edges, imgio, linsolve, profile1d, synth
 from .energy import BoundaryKind, ModelKind, ModelParams, gagliardo_ratio, total_energy
 from .errors import AtsegError, DegenerateInputError
 from .grid import ScalarField
@@ -23,7 +23,7 @@ PROFILE_D_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _add_model_flags(p: argparse.ArgumentParser, eps: bool = True) -> None:
-    p.add_argument("--model", choices=["at", "laplacian"], default="at",
+    p.add_argument("--model", choices=[k.value for k in ModelKind], default=ModelParams.model.value,
                    help="first-order (at) or second-order (laplacian) edge penalty")
     p.add_argument("--alpha", type=float, default=1e-2, help="gradient coupling weight")
     p.add_argument("--beta", type=float, default=0.3, help="edge-set weight")
@@ -38,11 +38,11 @@ def _add_model_flags(p: argparse.ArgumentParser, eps: bool = True) -> None:
 
 def _add_run_flags(p: argparse.ArgumentParser, eps: bool = True) -> None:
     _add_model_flags(p, eps)
-    p.add_argument("--bc", choices=["neumann", "dirichlet1"], default="neumann",
+    p.add_argument("--bc", choices=[k.value for k in BoundaryKind], default=ModelParams.bc.value,
                    help="boundary handling for the second-order edge system")
     p.add_argument("--tol", type=float, default=1e-4, help="stop when e_k drops below this")
     p.add_argument("--maxit", type=int, default=500, help="outer iteration cap")
-    p.add_argument("--solver", choices=["cg", "direct"], default="cg",
+    p.add_argument("--solver", choices=linsolve.SOLVER_METHODS, default=linsolve.SOLVER_METHODS[0],
                    help="inner linear solver: preconditioned CG, or sparse LU for bit-identical reruns")
 
 
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=Path, default=None, help="clean image u (PGM or .f64); default g")
     p.add_argument("--v", type=Path, default=None, help="edge field v (PGM or .f64); default 1")
     _add_model_flags(p)
-    p.set_defaults(func=cmd_energy, bc="neumann")  # total_energy does not read bc
+    p.set_defaults(func=cmd_energy, bc=ModelParams.bc.value)  # total_energy does not read bc
 
     return parser
 
@@ -122,10 +122,10 @@ def cmd_segment(args) -> int:
     edges.check_threshold(args.threshold)
     g = _read_field(args.input)
     params = _params(args, args.eps)
+    outdir = args.output_dir
+    outdir.mkdir(parents=True, exist_ok=True)  # an unusable directory fails before the solve
     result = altmin.run(g, params, tol=args.tol, maxit=args.maxit, solver=args.solver)
 
-    outdir = args.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "u.pgm").write_bytes(imgio.write_pgm(result.u, args.maxval)[0])
     v_bytes, clamped = imgio.write_pgm(result.v, args.maxval)
     (outdir / "v.pgm").write_bytes(v_bytes)

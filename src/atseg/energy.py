@@ -116,19 +116,35 @@ def _grad_sq(f: ScalarField) -> np.ndarray:
     return g.x**2 + g.y**2
 
 
-def mm_first_order(v: ScalarField, params: ModelParams) -> float:
-    """(beta/2) * integral of (v-1)^2/eps + eps*|grad v|^2."""
+def edge_weights(model: ModelKind, params: ModelParams) -> tuple[float, float]:
+    """The weights (c0, ck) of the model's edge-set term
+    (1/2) * integral of c0*(v-1)^2 + ck*|K v|^2, with K = grad for at and
+    K = lap for laplacian.  Either pair charges beta per unit edge length in
+    the limit eps -> 0: (1/2)*sqrt(c0*ck) for at, and
+    (1/2)*sqrt(2)*c0^(3/4)*ck^(1/4) for laplacian (the 1D transition cost
+    sqrt(2) of atseg.profile1d)."""
+    beta, eps = params.beta, params.eps
+    if model is ModelKind.FIRST_ORDER_AT:
+        return beta / eps, beta * eps
+    return beta / (SQRT2 * eps), beta * eps**3 / SQRT2
+
+
+def _edge_term(v: ScalarField, model: ModelKind, params: ModelParams, kv_sq: np.ndarray) -> float:
+    """(1/2) * integral of c0*(v-1)^2 + ck*kv_sq, with the model's edge_weights."""
+    c0, ck = edge_weights(model, params)
     r = v.values - 1.0
-    val = _cellsum(v.grid, r * r / params.eps + params.eps * _grad_sq(v))
-    return 0.5 * params.beta * val
+    return 0.5 * _cellsum(v.grid, c0 * (r * r) + ck * kv_sq)
+
+
+def mm_first_order(v: ScalarField, params: ModelParams) -> float:
+    """The at edge term, with K = grad, whatever params.model says."""
+    return _edge_term(v, ModelKind.FIRST_ORDER_AT, params, _grad_sq(v))
 
 
 def mm_second_order_laplacian(v: ScalarField, params: ModelParams) -> float:
-    """(beta/(2*sqrt(2))) * integral of (v-1)^2/eps + eps^3*(lap v)^2."""
-    r = v.values - 1.0
+    """The laplacian edge term, with K = lap, whatever params.model says."""
     lv = laplacian(v).values
-    val = _cellsum(v.grid, r * r / params.eps + params.eps**3 * lv * lv)
-    return params.beta / (2.0 * SQRT2) * val
+    return _edge_term(v, ModelKind.SECOND_ORDER_LAPLACIAN, params, lv * lv)
 
 
 def hessian_terms(v: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,10 +166,8 @@ def hessian_sq(v: ScalarField) -> np.ndarray:
 
 
 def mm_second_order_hessian(v: ScalarField, params: ModelParams) -> float:
-    """(beta/(2*sqrt(2))) * integral of (v-1)^2/eps + eps^3*|hess v|^2 (evaluation only)."""
-    r = v.values - 1.0
-    val = _cellsum(v.grid, r * r / params.eps + params.eps**3 * hessian_sq(v))
-    return params.beta / (2.0 * SQRT2) * val
+    """The laplacian edge term with |hess v|^2 for (lap v)^2 (evaluation only)."""
+    return _edge_term(v, ModelKind.SECOND_ORDER_LAPLACIAN, params, hessian_sq(v))
 
 
 def mm_term(v: ScalarField, params: ModelParams) -> float:

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .energy import SQRT2, BoundaryKind, ModelParams
+from .energy import BoundaryKind, ModelKind, ModelParams, edge_weights
 from .errors import DegenerateSystemError, InvalidInputError, LinearSolveError, require_count
 from .grid import (
     Grid2D,
@@ -213,54 +213,50 @@ def assemble_u_system(v: ScalarField, g: ScalarField, params: ModelParams) -> Li
     return LinearSystem(_on_pattern(laplacian_matrix(grid), data), rhs)
 
 
-def _gradient_weight(u: ScalarField, params: ModelParams) -> np.ndarray:
-    g = grad_forward(u)
-    return 2.0 * params.alpha_u * (g.x**2 + g.y**2)
+def _v_system(u: ScalarField, params: ModelParams, model: ModelKind) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Matrix and rhs of the edge half-step for the model's edge term
+    (1/2) int c0 (v-1)^2 + ck |K v|^2, with (c0, ck) from edge_weights:
+    (2*alpha*|grad u|^2 + c0) v + ck K^T K v = c0.
+
+    Written on K^T K's cached pattern, -L for K = grad and L^2 for K = lap:
+    the values ck K^T K, plus the diagonal weight at its cached positions.
+    """
+    grid = u.grid
+    c0, ck = edge_weights(model, params)
+    second_order = model is ModelKind.SECOND_ORDER_LAPLACIAN
+    P = bilaplacian_matrix(grid) if second_order else laplacian_matrix(grid)
+    A = _on_pattern(P, (ck if second_order else -ck) * P.data)
+    du = grad_forward(u)
+    A.data[diagonal_positions(grid, second_order)] += 2.0 * params.alpha_u * (du.x**2 + du.y**2) + c0
+    return A, np.full(grid.npoints, c0)
 
 
 def assemble_v_system_first_order(u: ScalarField, params: ModelParams) -> LinearSystem:
-    """Edge half-step of the first-order model:
-    (2*alpha*|grad u|^2 + beta/eps) v - beta*eps*lap v = beta/eps.
-
-    On L's pattern: the values -beta*eps*L plus the diagonal weight.  An
+    """Edge half-step of the at model, whatever params.model says.  An
     M-matrix with nonnegative rhs, so 0 < v <= 1 (discrete maximum principle).
     """
-    grid = u.grid
-    L = laplacian_matrix(grid)
-    data = -(params.beta * params.eps) * L.data
-    data[diagonal_positions(grid, False)] += _gradient_weight(u, params) + params.beta / params.eps
-    rhs = ScalarField.constant(grid, params.beta / params.eps)
-    return LinearSystem(_on_pattern(L, data), rhs)
+    A, b = _v_system(u, params, ModelKind.FIRST_ORDER_AT)
+    return LinearSystem(A, ScalarField(u.grid, b))
 
 
 def assemble_v_system_second_order(u: ScalarField, params: ModelParams) -> LinearSystem:
-    """Edge half-step of the Laplacian-penalized model:
-    (2*alpha*|grad u|^2 + beta/(sqrt2*eps)) v + (beta*eps^3/sqrt2) lap lap v = beta/(sqrt2*eps).
+    """Edge half-step of the laplacian model, whatever params.model says.
 
-    On L^2's pattern: the values c2*L^2 plus the diagonal weight.  Fourth
-    order: no maximum principle, solutions overshoot 1 near edges.  With
-    bc=DIRICHLET_ONE boundary nodes are pinned to v=1 by symmetric
+    Fourth order: no maximum principle, solutions overshoot 1 near edges.
+    With bc=DIRICHLET_ONE boundary nodes are pinned to v=1 by symmetric
     elimination on the same pattern (boundary rows and columns zeroed, a unit
     diagonal, explicit zeros kept); with the default Neumann choice the
     natural boundary rows of L^2 apply.
     """
     grid = u.grid
-    c0 = params.beta / (SQRT2 * params.eps)
-    c2 = params.beta * params.eps**3 / SQRT2
-    L2 = bilaplacian_matrix(grid)
-    diag = diagonal_positions(grid, True)
-    A = _on_pattern(L2, c2 * L2.data)
-    A.data[diag] += _gradient_weight(u, params) + c0
-    b = np.full(grid.npoints, c0)
-
+    A, b = _v_system(u, params, ModelKind.SECOND_ORDER_LAPLACIAN)
     if params.bc is BoundaryKind.DIRICHLET_ONE:
         boundary = np.zeros(grid.npoints, dtype=bool)
         boundary[boundary_indices(grid)] = True
         b -= A @ boundary.astype(float)
         b[boundary] = 1.0
-        A.data[np.repeat(boundary, np.diff(L2.indptr)) | boundary[L2.indices]] = 0.0
-        A.data[diag[boundary]] = 1.0
-
+        A.data[np.repeat(boundary, np.diff(A.indptr)) | boundary[A.indices]] = 0.0
+        A.data[diagonal_positions(grid, True)[boundary]] = 1.0
     return LinearSystem(A, ScalarField(grid, b))
 
 
@@ -486,6 +482,10 @@ def splu(A: sp.csc_matrix, **options):
     return splu(A, **options)
 
 
+# The methods solve takes, its default first; the CLI's --solver choices.
+SOLVER_METHODS = ("cg", "direct")
+
+
 def solve(
     sys: LinearSystem,
     tol: float = 1e-10,
@@ -532,7 +532,7 @@ def solve(
         raise InvalidInputError("solver tolerance must be positive")
     if maxit is not None:
         require_count("maxit", maxit, 0)
-    if method not in ("direct", "cg"):
+    if method not in SOLVER_METHODS:
         raise InvalidInputError(f"unknown solver method {method!r}")
     if x0 is not None:
         same_grid(x0, sys.rhs)

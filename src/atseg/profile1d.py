@@ -133,8 +133,7 @@ def discrete_transition_minimum(d: float, T: float = 20.0, n: int = 4001) -> flo
     f[0] = f[1] = d
     f[2:] = solveh_banded(ab, rhs)
 
-    r = f - 1.0
-    s = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / tau**2
+    r, s = f - 1.0, S @ f
     return float(np.dot(wm, r * r) + tau * np.dot(s, s))
 
 

@@ -111,6 +111,22 @@ class TestSegment:
         assert "error: maxval must be in [1, 65535], got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unusable_output_dir_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
+        # --output-dir names an existing file: mkdir fails, and it must do so
+        # before the solve, whose cost grows with the image.
+        img = tmp_path / "c.pgm"
+        write_constant_pgm(img)
+        out = tmp_path / "out"
+        out.write_bytes(b"")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("altmin.run called")
+
+        monkeypatch.setattr("atseg.altmin.run", unreachable)
+        assert main(["segment", str(img), "--output-dir", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert out.is_file()
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_rejected_before_solving(self, tmp_path, capsys, threshold):
         # v > nan is false everywhere: without the check the run would write

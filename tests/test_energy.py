@@ -7,6 +7,7 @@ from atseg.energy import (
     BoundaryKind,
     ModelKind,
     ModelParams,
+    edge_weights,
     gagliardo_ratio,
     hessian_sq,
     hessian_terms,
@@ -17,7 +18,7 @@ from atseg.energy import (
 )
 from atseg.errors import DegenerateInputError, GridMismatchError, InvalidInputError
 from atseg.grid import Grid2D, ScalarField, grad_forward, laplacian
-from atseg.profile1d import closed_form_profile
+from atseg.profile1d import closed_form_profile, discrete_transition_minimum
 
 SQRT2 = np.sqrt(2.0)
 
@@ -77,6 +78,23 @@ class TestEdgeSetTerms:
         assert mm_second_order_laplacian(v, p) == pytest.approx(
             p.beta / (2 * SQRT2) / p.eps * area, rel=1e-12
         )
+
+    @pytest.mark.parametrize("beta, eps", [(0.3, 0.03), (1.0, 0.5), (2.5, 1e-3), (1e-4, 0.2)])
+    def test_edge_weights_charge_beta_per_unit_length(self, beta, eps):
+        # Each side of an edge costs the weights' 1D transition constant, so
+        # both models must charge beta/2 per side, the Mumford-Shah weight of
+        # their limit.  The energy and the v-systems read the same weights,
+        # so a wrong pair would pass test_systems_are_exact_half_hessians.
+        p = ModelParams(alpha=1e-2, beta=beta, gamma=1e-3, eps=eps, eta=0.0)
+        c0, ck = edge_weights(ModelKind.FIRST_ORDER_AT, p)
+        assert 0.5 * np.sqrt(c0 * ck) == pytest.approx(beta / 2, rel=1e-12)
+        c0, ck = edge_weights(ModelKind.SECOND_ORDER_LAPLACIAN, p)
+        assert 0.5 * c0**0.75 * ck**0.25 * SQRT2 == pytest.approx(beta / 2, rel=1e-12)
+
+    def test_second_order_transition_constant_is_sqrt2(self):
+        # the sqrt(2) in the laplacian normalization: the minimal cost of
+        # integral (f-1)^2 + (f'')^2 from f(0) = 0 to 1 at infinity
+        assert discrete_transition_minimum(0.0) == pytest.approx(SQRT2, abs=1e-5)
 
     def test_first_order_transition_cost_per_unit_length(self):
         # exponential profile carries cost beta per unit edge length as eps -> 0
