@@ -124,6 +124,8 @@ def cmd_segment(args) -> int:
     params = _params(args, args.eps)
     outdir = args.output_dir
     outdir.mkdir(parents=True, exist_ok=True)  # an unusable directory fails before the solve
+    for name in ("u.pgm", "v.pgm", "v.f64", "mask.pgm", "history.csv"):  # so does an unwritable file
+        open(outdir / name, "ab").close()  # "ab" truncates nothing
     result = altmin.run(g, params, tol=args.tol, maxit=args.maxit, solver=args.solver)
 
     (outdir / "u.pgm").write_bytes(imgio.write_pgm(result.u, args.maxval)[0])
@@ -134,6 +136,8 @@ def cmd_segment(args) -> int:
     (outdir / "v.f64").write_bytes(imgio.write_f64(result.v))
     mask = edges.level_mask(result.v, args.threshold)
     (outdir / "mask.pgm").write_bytes(imgio.write_mask_pgm(mask.bits, g.grid.nx, g.grid.ny))
+    if mask.count() == 0:  # as for the at model at the default threshold: its v stays <= 1
+        print(f"mask.pgm: empty, no value of v above threshold {args.threshold}", file=sys.stderr)
     (outdir / "history.csv").write_bytes(imgio.write_history(result.report))
 
     last = result.report.entries[-1]
@@ -174,24 +178,26 @@ def cmd_synth(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    p = profile1d.sample_closed_form(args.tmax, args.step)
-    n = p.samples.size
-    t = np.arange(n) * args.step
-    lines = ["t,f"] + [f"{ti:.17g},{fi:.17g}" for ti, fi in zip(t, p.samples)]
+    rows = []  # every value is computed before anything is written
+    for d in PROFILE_D_VALUES:
+        f = profile1d.sample_closed_form(args.tmax, args.step, d)
+        quad = profile1d.profile_energy(f, args.step)
+        if d == 0.0:
+            profile, m_quad = f, quad
+        disc = profile1d.discrete_transition_minimum(d)
+        exact = profile1d.SQRT2 * (d - 1.0) ** 2
+        rows.append(f"{d:.2f}, {quad:.7f}, {disc:.7f}, {exact:.7f}")
+    t = np.arange(profile.size) * args.step
+    lines = ["t,f"] + [f"{ti:.17g},{fi:.17g}" for ti, fi in zip(t, profile)]
     csv = "\n".join(lines) + "\n"
     if args.output is not None:
         args.output.write_bytes(csv.encode("ascii"))
     else:
         sys.stdout.write(csv)
 
-    m_quad = profile1d.profile_energy(p)
     print(f"m (quadrature of closed form) = {m_quad:.7f}")
     print("d, m_d (quadrature), m_d (discrete minimizer), sqrt(2)*(d-1)^2")
-    for d in PROFILE_D_VALUES:
-        quad = profile1d.profile_energy(profile1d.sample_closed_form(args.tmax, args.step, d))
-        disc = profile1d.discrete_transition_minimum(d)
-        exact = profile1d.SQRT2 * (d - 1.0) ** 2
-        print(f"{d:.2f}, {quad:.7f}, {disc:.7f}, {exact:.7f}")
+    print("\n".join(rows))
     return 0
 
 

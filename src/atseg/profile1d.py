@@ -9,7 +9,6 @@ minimization oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,28 +34,8 @@ def closed_form_profile(t, d: float = 0.0):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class Profile1D:
-    """Profile samples on a uniform grid over [0, T] with f(0) = left_value, f'(0) = 0."""
-
-    samples: np.ndarray
-    step: float
-    left_value: float
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(s)):
-            raise InvalidInputError("profile samples must be finite")
-        if not (self.step > 0):
-            raise InvalidInputError("profile step must be positive")
-        if s.size and abs(s[0] - self.left_value) > 1e-12:
-            raise InvalidInputError("first sample must equal left_value")
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-
-
-def sample_closed_form(T: float = 50.0, step: float = 1e-3, d: float = 0.0) -> Profile1D:
-    """Closed-form profile sampled on [0, T]."""
+def sample_closed_form(T: float = 50.0, step: float = 1e-3, d: float = 0.0) -> np.ndarray:
+    """Closed-form profile sampled on [0, T] at spacing step, as a read-only array."""
     if not (0 < T < np.inf and 0 < step < np.inf):
         raise InvalidInputError(f"T and step must be positive and finite, got T={T}, step={step}")
     try:
@@ -64,7 +43,8 @@ def sample_closed_form(T: float = 50.0, step: float = 1e-3, d: float = 0.0) -> P
         f = closed_form_profile(t, d)
     except (MemoryError, OverflowError, ValueError):  # T/step samples cannot be held
         raise InvalidInputError(f"cannot sample [0, {T}] at step {step}: too many samples") from None
-    return Profile1D(f, step, d)
+    f.setflags(write=False)
+    return f
 
 
 def _second_derivative(f: np.ndarray, step: float) -> np.ndarray:
@@ -76,17 +56,19 @@ def _second_derivative(f: np.ndarray, step: float) -> np.ndarray:
     return s
 
 
-def profile_energy(p: Profile1D) -> float:
-    """Composite-Simpson quadrature of (f-1)^2 + (f'')^2 over the sample range."""
-    f = p.samples
-    if f.size < 5:
-        raise InvalidInputError("profile energy needs at least 5 samples")
+def profile_energy(f: np.ndarray, step: float) -> float:
+    """Composite-Simpson quadrature of (f-1)^2 + (f'')^2 over samples f at spacing step."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 1 or f.size < 5:
+        raise InvalidInputError("profile energy needs a 1-D array of at least 5 samples")
+    if not (np.all(np.isfinite(f)) and 0 < step < np.inf):
+        raise InvalidInputError(f"profile samples must be finite and the step positive and finite, got step={step}")
     # Imported here: scipy.integrate pulls in scipy.optimize, which no other
     # command needs and every atseg process would otherwise load.
     from scipy.integrate import simpson
 
-    integrand = (f - 1.0) ** 2 + _second_derivative(f, p.step) ** 2
-    return float(simpson(integrand, dx=p.step))
+    integrand = (f - 1.0) ** 2 + _second_derivative(f, step) ** 2
+    return float(simpson(integrand, dx=step))
 
 
 def discrete_transition_minimum(d: float, T: float = 20.0, n: int = 4001) -> float:
@@ -95,14 +77,14 @@ def discrete_transition_minimum(d: float, T: float = 20.0, n: int = 4001) -> flo
     Pins the first two samples to d (mirror form of f'(0) = 0 about the
     staggered boundary, so node 0 acts as a ghost node and carries no
     quadrature weight) and minimizes the quadratic energy over the remaining
-    samples via a banded SPD solve.
+    samples with one sparse SPD solve.
     """
     if T < 10:
         raise InvalidInputError("transition interval must satisfy T >= 10")
     require_count("n", n, 101)
-    # Imported here, as simpson is in profile_energy: only `profile` and the
-    # tests need scipy.linalg.
-    from scipy.linalg import solveh_banded
+    # Imported here, as simpson is in profile_energy: only `profile`, the
+    # tests and --solver direct need scipy.sparse.linalg.
+    from scipy.sparse.linalg import spsolve
 
     tau = T / (n - 1)
 
@@ -111,27 +93,15 @@ def discrete_transition_minimum(d: float, T: float = 20.0, n: int = 4001) -> flo
     wm[0] = 0.0
     wm[-1] = tau / 2.0
 
-    # E(f) = sum_i wm_i (f_i - 1)^2 + tau * sum_{i=1..n-2} s_i^2 with
-    # s_i = (f_{i-1} - 2 f_i + f_{i+1}) / tau^2; half the Hessian is
+    # E(f) = sum_i wm_i (f_i - 1)^2 + tau * sum_i s_i^2 with
+    # s_i = (f_i - 2 f_{i+1} + f_{i+2}) / tau^2; half the Hessian is
     # A = diag(wm) + tau * S^T S, pentadiagonal and SPD.
-    m = n - 2
-    rows = np.repeat(np.arange(m), 3)
-    cols = (np.arange(1, n - 1)[:, None] + np.array([-1, 0, 1])).ravel()
-    vals = np.tile([1.0, -2.0, 1.0], m) / tau**2
-    S = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
+    S = sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(n - 2, n)) / tau**2
     A = (sp.diags(wm) + tau * (S.T @ S)).tocsc()
 
-    # eliminate the pinned samples f0 = f1 = d; the free block stays banded
-    rhs = wm[2:] - d * np.asarray(A[2:, 0].todense()).ravel() - d * np.asarray(A[2:, 1].todense()).ravel()
-    Af = A[2:, 2:]
-    ab = np.zeros((3, n - 2))
-    ab[2] = Af.diagonal(0)
-    ab[1, 1:] = Af.diagonal(1)
-    ab[0, 2:] = Af.diagonal(2)
-
-    f = np.empty(n)
-    f[0] = f[1] = d
-    f[2:] = solveh_banded(ab, rhs)
+    # eliminate the pinned samples f0 = f1 = d and solve for the free ones
+    f = np.full(n, float(d))
+    f[2:] = spsolve(A[2:, 2:], wm[2:] - A[2:, :2] @ f[:2])
 
     r, s = f - 1.0, S @ f
     return float(np.dot(wm, r * r) + tau * np.dot(s, s))
@@ -140,28 +110,12 @@ def discrete_transition_minimum(d: float, T: float = 20.0, n: int = 4001) -> flo
 def hermite_bridge_energy(w: float, z: float) -> float:
     """Energy of the cubic bridging (value w, slope z) at 0 to (value 1, slope 0) at 1.
 
-    Exact polynomial integration of (p-1)^2 + (p'')^2 over [0, 1] in rational
-    arithmetic; upper-bounds the true minimal bridge cost and tends to 0 as
-    (w, z) -> (1, 0).
+    With a = w-1 and b = z the bridge is p = 1 + a*h0 + b*h1 in the Hermite
+    basis h0 = 2t^3 - 3t^2 + 1, h1 = t^3 - 2t^2 + t, so the integral of
+    (p-1)^2 + (p'')^2 over [0, 1] is the quadratic form of their Gram matrix
+    [[433/35, 1271/210], [1271/210, 421/105]] under int_0^1 pq + p''q''.
+    It is evaluated exactly in rational arithmetic; it upper-bounds the true
+    minimal bridge cost and tends to 0 as (w, z) -> (1, 0).
     """
-    wf, zf = Fraction(w), Fraction(z)
-    # p - 1 = (w-1) * (2t^3 - 3t^2 + 1) + z * (t^3 - 2t^2 + t), coefficients low-to-high
-    q = [
-        wf - 1,
-        zf,
-        -3 * (wf - 1) - 2 * zf,
-        2 * (wf - 1) + zf,
-    ]
-    qpp = [2 * q[2], 6 * q[3]]  # second derivative of the cubic
-    total = _integrate_square(q) + _integrate_square(qpp)
-    return float(total)
-
-
-def _integrate_square(coeffs: list[Fraction]) -> Fraction:
-    """Integral over [0, 1] of the square of a polynomial given low-to-high."""
-    deg = len(coeffs)
-    total = Fraction(0)
-    for i in range(deg):
-        for j in range(deg):
-            total += coeffs[i] * coeffs[j] / (i + j + 1)
-    return total
+    a, b = Fraction(w) - 1, Fraction(z)
+    return float(Fraction(433, 35) * a * a + Fraction(1271, 105) * a * b + Fraction(421, 105) * b * b)

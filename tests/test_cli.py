@@ -11,6 +11,7 @@ import pytest
 from atseg.altmin import run
 from atseg.cli import main
 from atseg.energy import ModelParams
+from atseg.errors import AtsegError
 from atseg.grid import Grid2D, ScalarField
 from atseg.imgio import read_f64, read_history, read_pgm, write_pgm
 
@@ -127,6 +128,47 @@ class TestSegment:
         assert "error:" in capsys.readouterr().err
         assert out.is_file()
 
+    def test_unwritable_output_path_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
+        # out/u.pgm is a directory: writing it must fail before the solve too
+        img = tmp_path / "c.pgm"
+        write_constant_pgm(img)
+        out = tmp_path / "out"
+        (out / "u.pgm").mkdir(parents=True)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("altmin.run called")
+
+        monkeypatch.setattr("atseg.altmin.run", unreachable)
+        assert main(["segment", str(img), "--output-dir", str(out)]) == 1
+        assert "u.pgm" in capsys.readouterr().err
+
+    def test_output_check_keeps_existing_files(self, tmp_path, monkeypatch):
+        # the benchmark reruns segment into one directory; a solve that fails
+        # after the check must leave the earlier outputs as they were
+        img = tmp_path / "c.pgm"
+        write_constant_pgm(img)
+        out = tmp_path / "out"
+        out.mkdir()
+        names = ("u.pgm", "v.pgm", "v.f64", "mask.pgm", "history.csv")
+        for name in names:
+            (out / name).write_bytes(b"earlier run")
+
+        def failing(*args, **kwargs):
+            raise AtsegError("solve failed")
+
+        monkeypatch.setattr("atseg.altmin.run", failing)
+        assert main(["segment", str(img), "--output-dir", str(out)]) == 1
+        assert all((out / name).read_bytes() == b"earlier run" for name in names)
+
+    @pytest.mark.parametrize("model, eps, reported", [("at", "3e-2", True), ("laplacian", "9e-2", False)])
+    def test_empty_mask_is_reported(self, tmp_path, capsys, model, eps, reported):
+        # the at model's v stays <= 1, so its {v > 1.005} mask is always empty;
+        # the laplacian run is the one of test_second_order_overshoot_mask
+        img = synth_phantom(tmp_path, kind="oned", nx=48, ny=48, sigma=0)
+        rc = main(["segment", str(img), "--output-dir", str(tmp_path / "out"), "--model", model, "--eps", eps])
+        assert rc == 0
+        assert ("mask.pgm: empty, no value of v above threshold 1.005" in capsys.readouterr().err) == reported
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_rejected_before_solving(self, tmp_path, capsys, threshold):
         # v > nan is false everywhere: without the check the run would write
@@ -197,6 +239,12 @@ class TestProfile:
 
     def test_too_coarse_sampling_is_an_error(self, capsys):
         assert main(["profile", "--tmax", "1.0", "--step", "0.5"]) == 1
+
+    def test_failing_check_writes_no_csv(self, tmp_path):
+        # 3 samples fail the 5-sample check, which must come before the write
+        csv_path = tmp_path / "p.csv"
+        assert main(["profile", "--tmax", "1", "--step", "0.5", "--output", str(csv_path)]) == 1
+        assert not csv_path.exists()
 
 
 class TestSweep:
@@ -350,8 +398,9 @@ def test_profile_too_many_samples():
 
 # Each is imported where a command needs it: scipy.integrate (which imports
 # scipy.optimize) for `profile`'s quadrature, scipy.special for a noisy
-# phantom's inverse normal CDF, scipy.linalg for `profile`'s banded solve and
-# scipy.sparse.linalg for --solver direct.  A CG segment loads none of them.
+# phantom's inverse normal CDF, and scipy.sparse.linalg (which imports
+# scipy.linalg) for `profile`'s sparse solve and --solver direct.  A CG
+# segment loads none of them.
 ON_DEMAND = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse.linalg")
 
 

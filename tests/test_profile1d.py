@@ -4,7 +4,6 @@ import pytest
 from atseg.errors import InvalidInputError
 from atseg.profile1d import (
     SQRT2,
-    Profile1D,
     closed_form_profile,
     discrete_transition_minimum,
     hermite_bridge_energy,
@@ -52,19 +51,32 @@ class TestClosedForm:
 class TestProfileEnergy:
     def test_transition_constant(self):
         p = sample_closed_form(50.0, 1e-3)
-        assert profile_energy(p) == pytest.approx(SQRT2, abs=1e-6)
+        assert profile_energy(p, 1e-3) == pytest.approx(SQRT2, abs=1e-6)
 
     def test_constant_profile_is_free(self):
-        p = Profile1D(np.ones(100), 0.01, 1.0)
-        assert profile_energy(p) == 0.0
+        p = np.ones(100)
+        assert profile_energy(p, 0.01) == 0.0
 
     def test_partial_transition_constant(self):
         p = sample_closed_form(50.0, 1e-3, d=0.5)
-        assert profile_energy(p) == pytest.approx(SQRT2 * 0.25, abs=1e-5)
+        assert profile_energy(p, 1e-3) == pytest.approx(SQRT2 * 0.25, abs=1e-5)
 
     def test_too_few_samples(self):
         with pytest.raises(InvalidInputError):
-            profile_energy(Profile1D(np.ones(4), 0.1, 1.0))
+            profile_energy(np.ones(4), 0.1)
+
+    @pytest.mark.parametrize(
+        "f, step",
+        [(np.array([0.0, 0.5, np.nan, 1.0, 1.0]), 0.1), (np.ones(5), 0.0), (np.ones(5), np.inf), (np.ones((5, 5)), 0.1)],
+        ids=["nan-sample", "zero-step", "inf-step", "2-d"],
+    )
+    def test_invalid_samples_or_step(self, f, step):
+        with pytest.raises(InvalidInputError):
+            profile_energy(f, step)
+
+    def test_samples_are_read_only(self):
+        with pytest.raises(ValueError):
+            sample_closed_form(1.0, 0.1)[0] = 1.0
 
     @pytest.mark.parametrize(
         "T, step",
@@ -98,7 +110,7 @@ class TestDiscreteMinimum:
         assert abs(coeff[1]) < 1e-2 and abs(coeff[2]) < 1e-2
 
     def test_never_beats_true_minimum_by_much(self):
-        quad = profile_energy(sample_closed_form(50.0, 1e-3))
+        quad = profile_energy(sample_closed_form(50.0, 1e-3), 1e-3)
         disc = discrete_transition_minimum(0.0)
         assert disc <= quad + 2e-3
         assert disc <= hermite_bridge_energy(0.0, 0.0)
@@ -124,3 +136,13 @@ class TestHermiteBridge:
         values = [hermite_bridge_energy(1.0 - 1.0 / k, 1.0 / k) for k in range(1, 65)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-2
+
+    def test_matches_float_integration(self):
+        # (p-1)^2 + (p'')^2 over [0, 1] with p - 1 = (w-1)*h0 + z*h1 in the
+        # Hermite basis, integrated in floats: checks all three Gram entries.
+        h0 = np.polynomial.Polynomial([1, 0, -3, 2])
+        h1 = np.polynomial.Polynomial([0, 1, -2, 1])
+        for w, z in np.random.default_rng(0).uniform(-2, 2, size=(200, 2)):
+            q = (w - 1) * h0 + z * h1
+            antiderivative = (q**2 + q.deriv(2) ** 2).integ()
+            assert hermite_bridge_energy(w, z) == pytest.approx(antiderivative(1.0) - antiderivative(0.0), rel=1e-12)
