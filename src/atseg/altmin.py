@@ -3,7 +3,13 @@
 Each outer iteration solves the two SPD systems in the order the scheme is
 defined (v first, then u), records the relative-change indicator and the full
 energy breakdown, and stops once the indicator drops below the tolerance.
-Both half-steps minimize their exact discrete energies.
+Each half-step lowers its exact discrete energy at any inner tolerance: a
+direct solve minimizes it, and a CG solve warm-started from the current
+iterate minimizes it over a Krylov space around that iterate (the reduced
+solve's red values are the exact minimizers given its black ones).  So
+inner CG solves run loose while the loop is far from its stop, and to the
+full solver tolerance near it; the stop test counts only on an iteration
+solved to that tolerance, which the last recorded state then meets.
 
 An iteration from u is the fixed-point map G(u) = U(V(u)), the v half-step
 at u and then the u half-step at that v; u is the whole state, since v is a
@@ -42,6 +48,18 @@ ANDERSON_DEPTH = 2
 # Differences are dropped, oldest first, while the smallest eigenvalue of
 # their Gram matrix is below this fraction of the largest.
 GRAM_RCOND = 1e-10
+# Inner CG tolerance while the outer loop is far from its stop, i.e. while
+# the last indicator e_k is at least TIGHTEN * tol; below that, on the
+# iteration maxit and under "direct", solves run to solver_tol.  Measured on
+# the benchmark's noisy-cg and noisy-default (128x128 seed-12 sigma=0.1
+# circles; 10-15 alternating in-process pairs on a 2-core VM): 1e-5 took 13%
+# less wall time than 1e-6, but 71 outer iterations on noisy-default (1e-6:
+# 70; solver_tol throughout: 69), and on the 256x256 `at` phantom with
+# alpha_u=1, gamma_u=100 it moved the final energy by 2.6e-11 relative
+# (1e-6: 3e-14).  TIGHTEN = 100 took 14% more inner iterations on noisy-cg
+# and 9% more on noisy-default, and was slower on noisy-cg in 9 of 10 pairs.
+LOOSE_TOL = 1e-6
+TIGHTEN = 10.0
 
 
 @dataclass(frozen=True)
@@ -105,15 +123,15 @@ def _anderson(gs: list[np.ndarray], fs: list[np.ndarray]) -> np.ndarray | None:
     return None
 
 
-def _solved(res: SolveResult, what: str, k: int) -> ScalarField:
-    """The field of a converged inner solve; LinearSolveError if it stalled."""
+def _solved(res: SolveResult, what: str, k: int) -> SolveResult:
+    """A converged inner solve, passed through; LinearSolveError if it stalled."""
     if not res.converged:
         raise LinearSolveError(
             f"{what} solve stalled at outer iteration {k} (residual {res.residual:.3e})",
             residual=res.residual,
             iterations=res.iterations,
         )
-    return res.field
+    return res
 
 
 def run(
@@ -129,8 +147,14 @@ def run(
     """Alternate the v and u half-steps from u = g, v = 1 until e_k < tol.
 
     Each inner solve runs linsolve.solve with method=solver ("cg", warm-started
-    from the previous iterate, or "direct" for bit-identical reruns) to
-    relative residual solver_tol.  The loop is extrapolated as the module
+    from the previous iterate, or "direct" for bit-identical reruns).  Direct
+    solves run to relative residual solver_tol.  CG solves run to
+    max(LOOSE_TOL, solver_tol), and to solver_tol on iteration maxit and on
+    any iteration after one whose e_k fell below TIGHTEN * tol.  The stop
+    test e_k < tol counts only on an iteration whose solves ran at, or
+    reported a true residual within, solver_tol, so solver_tol is the
+    accuracy of the last recorded state of a converged run, and of any run
+    that reaches maxit.  The loop is extrapolated as the module
     docstring says, with no option to turn it off: an extrapolated start
     costs one energy evaluation, and one more v-solve if the energy check
     rejects it.
@@ -170,12 +194,19 @@ def run(
     fs: list[np.ndarray] = []  # their residuals G(s_i) - s_i
     s = u  # start of the next outer iteration: u, or its extrapolation
     last = np.inf  # squared norm of the last residual G(s) - s
+    e_k = np.inf  # the indicator of the last iteration
     for k in range(1, maxit + 1):
-        v_new = _solved(solve(assemble_v(s, params), tol=solver_tol, method=solver, x0=v), "edge-field", k)
-        if s is not u and total_energy(s, v_new, g, params).total > entries[-1].breakdown.total:
+        tight = solver == "direct" or k == maxit or e_k < TIGHTEN * tol
+        eta = solver_tol if tight else max(LOOSE_TOL, solver_tol)
+        v_res = _solved(solve(assemble_v(s, params), tol=eta, method=solver, x0=v), "edge-field", k)
+        if s is not u and total_energy(s, v_res.field, g, params).total > entries[-1].breakdown.total:
             gs, fs, s = [], [], u  # the extrapolation raised the energy: drop it
-            v_new = _solved(solve(assemble_v(s, params), tol=solver_tol, method=solver, x0=v), "edge-field", k)
-        u_new = _solved(solve(assemble_u_system(v_new, g, params), tol=solver_tol, method=solver, x0=s), "image", k)
+            v_res = _solved(solve(assemble_v(s, params), tol=eta, method=solver, x0=v), "edge-field", k)
+        v_new = v_res.field
+        u_res = _solved(solve(assemble_u_system(v_new, g, params), tol=eta, method=solver, x0=s), "image", k)
+        u_new = u_res.field
+        # the stop test may pass only on a state solved to solver_tol
+        exact = eta <= solver_tol or max(v_res.residual, u_res.residual) <= solver_tol
         e_k = convergence_indicator(u_new, u, v_new, v)
         entries.append(IterationEntry(k, e_k, total_energy(u_new, v_new, g, params)))
         f = u_new.values - s.values
@@ -185,7 +216,7 @@ def run(
         fs = [*fs[-ANDERSON_DEPTH:], f]
         u = s = u_new
         v = v_new
-        if e_k < tol:
+        if e_k < tol and exact:
             converged = True
             break
         if contracted:

@@ -56,6 +56,18 @@ def _second_derivative(f: np.ndarray, step: float) -> np.ndarray:
     return s
 
 
+def simpson(y: np.ndarray, dx: float) -> float:
+    """Composite Simpson's rule on equally spaced samples y (at least 3), as
+    scipy.integrate.simpson computes it: over pairs of intervals for an odd
+    count; for an even count, over all but the last interval, which takes
+    Cartwright's end correction dx (5 y[-1] + 8 y[-2] - y[-3]) / 12."""
+    n = y.size - (y.size % 2 == 0)  # odd number of samples Simpson's rule covers
+    total = float(np.sum(y[0 : n - 2 : 2] + 4.0 * y[1 : n - 1 : 2] + y[2:n:2]) * (dx / 3.0))
+    if n < y.size:
+        total += dx * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
+    return total
+
+
 def profile_energy(f: np.ndarray, step: float) -> float:
     """Composite-Simpson quadrature of (f-1)^2 + (f'')^2 over samples f at spacing step."""
     f = np.asarray(f, dtype=float)
@@ -63,12 +75,8 @@ def profile_energy(f: np.ndarray, step: float) -> float:
         raise InvalidInputError("profile energy needs a 1-D array of at least 5 samples")
     if not (np.all(np.isfinite(f)) and 0 < step < np.inf):
         raise InvalidInputError(f"profile samples must be finite and the step positive and finite, got step={step}")
-    # Imported here: scipy.integrate pulls in scipy.optimize, which no other
-    # command needs and every atseg process would otherwise load.
-    from scipy.integrate import simpson
-
     integrand = (f - 1.0) ** 2 + _second_derivative(f, step) ** 2
-    return float(simpson(integrand, dx=step))
+    return simpson(integrand, step)
 
 
 def discrete_transition_minimum(d: float, T: float = 20.0, n: int = 4001) -> float:
@@ -82,8 +90,8 @@ def discrete_transition_minimum(d: float, T: float = 20.0, n: int = 4001) -> flo
     if T < 10:
         raise InvalidInputError("transition interval must satisfy T >= 10")
     require_count("n", n, 101)
-    # Imported here, as simpson is in profile_energy: only `profile`, the
-    # tests and --solver direct need scipy.sparse.linalg.
+    # Imported here: only `profile`, the tests and --solver direct need
+    # scipy.sparse.linalg.
     from scipy.sparse.linalg import spsolve
 
     tau = T / (n - 1)

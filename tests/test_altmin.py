@@ -212,7 +212,7 @@ class TestExtrapolation:
         assert np.allclose(altmin._anderson(gs, fs), altmin._anderson(gs[1:], fs[1:]), rtol=0, atol=1e-14)
 
     def test_cuts_outer_iterations_on_a_segmenting_run(self):
-        # Without extrapolation this run takes 40 outer iterations; with it, 19.
+        # Without extrapolation this run takes 40 outer iterations; with it, 20.
         g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=64, ny=64, noise_sigma=0.1, seed=12))
         res = run(g, segmenting_params())
         assert res.report.converged
@@ -249,6 +249,74 @@ class TestExtrapolation:
         totals = [e.breakdown.total for e in res.report.entries]
         slack = 1e-10 * (1.0 + totals[0])
         assert all(b <= a + slack for a, b in zip(totals, totals[1:]))
+
+
+SOLVER_TOL = 1e-10  # run's default solver_tol
+# Summed inner iterations of the 64x64 runs below, CG: with every solve at
+# SOLVER_TOL they took 1564 (`at`) and 1168 (`laplacian`); with loose solves
+# until the outer loop nears its stop, 736 and 608.
+INNER_ITERATIONS_BOUND = {ModelKind.FIRST_ORDER_AT: 1000, ModelKind.SECOND_ORDER_LAPLACIAN: 850}
+
+
+@pytest.fixture(scope="module")
+def recorded_runs():
+    """(model, solver) -> (result, [(tol, residual, iterations) per solve]) on
+    the 64x64 seed-12 sigma=0.1 circles with segmenting weights."""
+    g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=64, ny=64, noise_sigma=0.1, seed=12))
+    runs = {}
+    for model in ModelKind:
+        for solver in ("cg", "direct"):
+            calls = []
+
+            def recording(*args, **kwargs):
+                res = solve(*args, **kwargs)
+                calls.append((kwargs["tol"], res.residual, res.iterations))
+                return res
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(altmin, "solve", recording)
+                runs[model, solver] = run(g, segmenting_params(model), solver=solver), calls
+    return runs
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+class TestInexactInnerSolves:
+    def test_cg_starts_loose_and_stops_on_a_state_solved_to_solver_tol(self, recorded_runs, model):
+        res, calls = recorded_runs[model, "cg"]
+        assert res.report.converged
+        assert calls[0][0] > SOLVER_TOL
+        # the last two solves are the recorded state's v and u half-steps
+        assert all(tol == SOLVER_TOL or residual <= SOLVER_TOL for tol, residual, _ in calls[-2:])
+
+    def test_direct_solves_at_solver_tol(self, recorded_runs, model):
+        res, calls = recorded_runs[model, "direct"]
+        assert res.report.converged
+        assert {tol for tol, _, _ in calls} == {SOLVER_TOL}
+
+    def test_cg_and_direct_segment_alike(self, recorded_runs, model):
+        (r_cg, _), (r_dir, _) = recorded_runs[model, "cg"], recorded_runs[model, "direct"]
+        assert np.array_equal(r_cg.v.values < 0.5, r_dir.v.values < 0.5)
+        e_cg, e_dir = r_cg.report.entries[-1].breakdown.total, r_dir.report.entries[-1].breakdown.total
+        assert e_cg == pytest.approx(e_dir, rel=1e-9, abs=0)
+
+    def test_inner_iterations_stay_under_the_bound(self, recorded_runs, model):
+        _, calls = recorded_runs[model, "cg"]
+        assert sum(iterations for _, _, iterations in calls) <= INNER_ITERATIONS_BOUND[model]
+
+
+def test_run_capped_by_maxit_ends_on_solves_at_solver_tol(monkeypatch):
+    g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=32, ny=32, noise_sigma=0.1, seed=12))
+    tols = []
+
+    def recording(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(altmin, "solve", recording)
+    res = run(g, segmenting_params(), maxit=3)
+    assert not res.report.converged
+    assert tols[0] > SOLVER_TOL
+    assert tols[-2:] == [SOLVER_TOL, SOLVER_TOL]
 
 
 @pytest.mark.parametrize("model", list(ModelKind))

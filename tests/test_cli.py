@@ -396,21 +396,23 @@ def test_profile_too_many_samples():
     assert main(["profile", "--tmax", "1e12"]) == 1
 
 
-# Each is imported where a command needs it: scipy.integrate (which imports
-# scipy.optimize) for `profile`'s quadrature, scipy.special for a noisy
+# Each is imported where a command needs it: scipy.special for a noisy
 # phantom's inverse normal CDF, and scipy.sparse.linalg (which imports
-# scipy.linalg) for `profile`'s sparse solve and --solver direct.  A CG
-# segment loads none of them.
+# scipy.linalg) for `profile`'s sparse solve and --solver direct.  No command
+# loads scipy.integrate or scipy.optimize: `profile`'s quadrature is the
+# package's own Simpson rule.  A CG segment loads none of them.
 ON_DEMAND = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse.linalg")
 
 
-def _on_demand_loaded(tmp_path, model=None):
+def _on_demand_loaded(tmp_path, model=None, argv=None):
     """Which ON_DEMAND modules a fresh interpreter holds after importing the
-    CLI and, if a model is given, segmenting a small phantom with it."""
+    CLI and, if a model is given, segmenting a small phantom with it, or
+    else, if argv is given, running that command."""
     code = "import sys, atseg.cli"
     if model is not None:
         img = synth_phantom(tmp_path, nx=32, ny=32, sigma=0.1, seed=7)
         argv = ["segment", str(img), "--output-dir", str(tmp_path / "out"), "--model", model]
+    if argv is not None:
         code += f"; assert atseg.cli.main({argv!r}) == 0"
     code += f"; print(sorted(m for m in {ON_DEMAND!r} if m in sys.modules))"
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -423,6 +425,12 @@ def test_cli_import_leaves_integration_unloaded(tmp_path):
     # Only `profile` integrates; every other command starts without
     # scipy.integrate and the scipy.optimize it imports.
     assert not {"scipy.integrate", "scipy.optimize"} & set(_on_demand_loaded(tmp_path))
+
+
+def test_profile_leaves_integration_unloaded(tmp_path):
+    # profile integrates with the package's own Simpson rule
+    argv = ["profile", "--output", str(tmp_path / "profile.csv")]
+    assert not {"scipy.integrate", "scipy.optimize"} & set(_on_demand_loaded(tmp_path, argv=argv))
 
 
 def test_cli_import_leaves_special_functions_unloaded(tmp_path):

@@ -9,6 +9,7 @@ from atseg.profile1d import (
     hermite_bridge_energy,
     profile_energy,
     sample_closed_form,
+    simpson,
 )
 
 
@@ -91,6 +92,25 @@ class TestProfileEnergy:
         # numpy refuses each sample array before allocating any of it
         with pytest.raises(InvalidInputError):
             sample_closed_form(T, step)
+
+
+class TestSimpson:
+    @pytest.mark.parametrize("n", [5, 6, 7, 50001])
+    def test_matches_scipy(self, n):
+        # odd counts: Simpson's rule over pairs of intervals; even counts add
+        # the end correction that scipy applies to the last interval
+        from scipy.integrate import simpson as scipy_simpson
+
+        y = np.random.default_rng(n).random(n) + np.linspace(0.0, 3.0, n) ** 2
+        for dx in (1e-3, 0.37):
+            assert simpson(y, dx) == pytest.approx(scipy_simpson(y, dx=dx), rel=1e-14, abs=0)
+
+    def test_exact_on_cubics_and_a_quadratic_end(self):
+        # Simpson's rule integrates cubics exactly; the end correction, quadratics
+        t = np.linspace(0.0, 2.0, 9)
+        assert simpson(t**3 - t, 0.25) == pytest.approx(2.0, rel=1e-14)
+        t = np.linspace(0.0, 2.5, 6)
+        assert simpson(t**2, 0.5) == pytest.approx(2.5**3 / 3.0, rel=1e-14)
 
 
 class TestDiscreteMinimum:
