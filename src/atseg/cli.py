@@ -1,7 +1,7 @@
 """Command-line interface: segment, synth, profile, sweep, energy subcommands.
 
-Exit codes: 0 success (segment: converged), 1 error, 2 segment hit the
-iteration cap (output files are still written).
+Exit codes: 0 success (segment, sweep: converged), 1 error, 2 segment or
+some sweep run hit the iteration cap (output files are still written).
 """
 
 from __future__ import annotations
@@ -138,6 +138,9 @@ def cmd_segment(args) -> int:
     (outdir / "mask.pgm").write_bytes(imgio.write_mask_pgm(mask.bits, g.grid.nx, g.grid.ny))
     if mask.count() == 0:  # as for the at model at the default threshold: its v stays <= 1
         print(f"mask.pgm: empty, no value of v above threshold {args.threshold}", file=sys.stderr)
+    low = float(np.mean(result.v.values < 0.5))
+    if low >= 0.5:  # a print, not a warning: warnings may be errors (-W error)
+        print(f"v: collapsed edge field, v < 0.5 on {low:.1%} of the pixels", file=sys.stderr)
     (outdir / "history.csv").write_bytes(imgio.write_history(result.report))
 
     last = result.report.entries[-1]
@@ -218,6 +221,7 @@ def cmd_sweep(args) -> int:
     runs = [_params(args, eps) for eps in eps_values]  # reject a bad eps before any output
 
     g = _read_field(args.input)
+    capped = False
     out = open(args.output, "w") if args.output is not None else sys.stdout
     try:
         out.write("eps,min_total,mm_at_convergence,gagliardo_ratio,iterations\n")
@@ -234,10 +238,13 @@ def cmd_sweep(args) -> int:
                 f"{ratio:.17g},{result.report.iterations}\n"
             )
             out.flush()
+            if not result.report.converged:
+                capped = True
+                print(f"eps={params.eps:g}: hit the iteration cap --maxit {args.maxit}", file=sys.stderr)
     finally:
         if args.output is not None:
             out.close()
-    return 0
+    return 2 if capped else 0
 
 
 def cmd_energy(args) -> int:

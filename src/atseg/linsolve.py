@@ -10,9 +10,9 @@ and the first-order v-system, L^2's for the fourth-order one.  The patterns,
 their diagonal positions, the u-system's value map, the red-black split of
 L's pattern (with the pattern of its transpose) and the multigrid
 transfers are cached per grid.  Each assembly writes only a new values
-array on the shared, read-only index arrays, and a solve that finds those
-very arrays in its matrix reads the diagonal and split from the cache, so
-that a CG solve pays little besides its iterations.
+array on the shared, read-only index arrays and names the pattern it wrote
+on, and a solve of such a system reads the diagonal and split from the
+cache, so that a CG solve pays little besides its iterations.
 
 Solver policy: conjugate gradients at every grid size, chosen from the
 matrix.  A matrix whose off-diagonal entries all join points of opposite
@@ -73,10 +73,13 @@ def boundary_indices(grid: Grid2D) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Sparse SPD system A x = b on the grid of rhs."""
+    """Sparse SPD system A x = b on the grid of rhs.  second_order names the
+    cached pattern an assembler wrote A on, L^2's (True) or L's (False);
+    None, for any other matrix, has solve compute A's diagonal and split."""
 
     matrix: sp.spmatrix
     rhs: ScalarField
+    second_order: bool | None = None
 
     @property
     def grid(self) -> Grid2D:
@@ -181,18 +184,6 @@ def red_black_split(grid: Grid2D) -> RedBlack:
     return _red_black(laplacian_matrix(grid), grid)
 
 
-def _structure(A: sp.csr_matrix, grid: Grid2D) -> tuple[np.ndarray, RedBlack | None]:
-    """A's diagonal and its red-black split.  An assembled system holds the
-    very index arrays of L's or L^2's cached pattern, so both are read from
-    positions cached per grid (L^2 joins points of one colour); any other
-    matrix, a copy or view of those arrays included, is split here."""
-    for second_order in (False, True):
-        P = bilaplacian_matrix(grid) if second_order else laplacian_matrix(grid)
-        if A.indices is P.indices and A.indptr is P.indptr:
-            return A.data[diagonal_positions(grid, second_order)], None if second_order else red_black_split(grid)
-    return A.diagonal(), _red_black(A, grid)
-
-
 def assemble_u_system(v: ScalarField, g: ScalarField, params: ModelParams) -> LinearSystem:
     """System for the image half-step: descent for
     alpha*int v^2|grad u|^2 + eta*int|grad u|^2 + gamma*int(u-g)^2.
@@ -210,16 +201,17 @@ def assemble_u_system(v: ScalarField, g: ScalarField, params: ModelParams) -> Li
     data = gram_map(grid) @ np.concatenate([q, q])
     data[diagonal_positions(grid, False)] += 2.0 * params.gamma_u
     rhs = ScalarField(grid, 2.0 * params.gamma_u * g.values)
-    return LinearSystem(_on_pattern(laplacian_matrix(grid), data), rhs)
+    return LinearSystem(_on_pattern(laplacian_matrix(grid), data), rhs, second_order=False)
 
 
-def _v_system(u: ScalarField, params: ModelParams, model: ModelKind) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Matrix and rhs of the edge half-step for the model's edge term
+def _v_system(u: ScalarField, params: ModelParams, model: ModelKind) -> LinearSystem:
+    """The edge half-step for the model's edge term
     (1/2) int c0 (v-1)^2 + ck |K v|^2, with (c0, ck) from edge_weights:
     (2*alpha*|grad u|^2 + c0) v + ck K^T K v = c0.
 
-    Written on K^T K's cached pattern, -L for K = grad and L^2 for K = lap:
-    the values ck K^T K, plus the diagonal weight at its cached positions.
+    Written on K^T K's cached pattern, -L for K = grad and L^2 for K = lap,
+    which the system names: the values ck K^T K, plus the diagonal weight at
+    its cached positions.  params.bc acts on L^2 only.
     """
     grid = u.grid
     c0, ck = edge_weights(model, params)
@@ -228,15 +220,22 @@ def _v_system(u: ScalarField, params: ModelParams, model: ModelKind) -> tuple[sp
     A = _on_pattern(P, (ck if second_order else -ck) * P.data)
     du = grad_forward(u)
     A.data[diagonal_positions(grid, second_order)] += 2.0 * params.alpha_u * (du.x**2 + du.y**2) + c0
-    return A, np.full(grid.npoints, c0)
+    b = np.full(grid.npoints, c0)
+    if second_order and params.bc is BoundaryKind.DIRICHLET_ONE:
+        boundary = np.zeros(grid.npoints, dtype=bool)
+        boundary[boundary_indices(grid)] = True
+        b -= A @ boundary.astype(float)
+        b[boundary] = 1.0
+        A.data[np.repeat(boundary, np.diff(A.indptr)) | boundary[A.indices]] = 0.0
+        A.data[diagonal_positions(grid, True)[boundary]] = 1.0
+    return LinearSystem(A, ScalarField(grid, b), second_order=second_order)
 
 
 def assemble_v_system_first_order(u: ScalarField, params: ModelParams) -> LinearSystem:
     """Edge half-step of the at model, whatever params.model says.  An
     M-matrix with nonnegative rhs, so 0 < v <= 1 (discrete maximum principle).
     """
-    A, b = _v_system(u, params, ModelKind.FIRST_ORDER_AT)
-    return LinearSystem(A, ScalarField(u.grid, b))
+    return _v_system(u, params, ModelKind.FIRST_ORDER_AT)
 
 
 def assemble_v_system_second_order(u: ScalarField, params: ModelParams) -> LinearSystem:
@@ -248,16 +247,7 @@ def assemble_v_system_second_order(u: ScalarField, params: ModelParams) -> Linea
     diagonal, explicit zeros kept); with the default Neumann choice the
     natural boundary rows of L^2 apply.
     """
-    grid = u.grid
-    A, b = _v_system(u, params, ModelKind.SECOND_ORDER_LAPLACIAN)
-    if params.bc is BoundaryKind.DIRICHLET_ONE:
-        boundary = np.zeros(grid.npoints, dtype=bool)
-        boundary[boundary_indices(grid)] = True
-        b -= A @ boundary.astype(float)
-        b[boundary] = 1.0
-        A.data[np.repeat(boundary, np.diff(A.indptr)) | boundary[A.indices]] = 0.0
-        A.data[diagonal_positions(grid, True)[boundary]] = 1.0
-    return LinearSystem(A, ScalarField(grid, b))
+    return _v_system(u, params, ModelKind.SECOND_ORDER_LAPLACIAN)
 
 
 # V-cycle settings.  On the 128x128 fourth-order v-systems of a noisy phantom,
@@ -514,9 +504,9 @@ def solve(
     is one; maxit (default 10 per unknown; any other value must be a
     non-negative integer, or InvalidInputError) caps that sum, and hitting
     it returns the last iterate with converged=False rather than raising.
-    b = 0 returns x = 0.  A system an assembler built holds the index
-    arrays of a pattern cached per grid, and its diagonal and split are read
-    from positions cached with it; for any other matrix they are computed.
+    b = 0 returns x = 0.  An assembler hands over the cached pattern it
+    wrote the matrix on, and the diagonal and split are read from positions
+    cached with it; for any other matrix they are computed.
     method "direct" uses a sparse LU factorization and one refinement step,
     and ignores x0.  An x0 on another grid raises GridMismatchError either way.
 
@@ -568,7 +558,11 @@ def solve(
 
     if bnorm == 0:
         return judged(np.zeros_like(b), 0)
-    diag, split = _structure(A, sys.grid)
+    if sys.second_order is None:
+        diag, split = A.diagonal(), _red_black(A, sys.grid)
+    else:
+        diag = A.data[diagonal_positions(sys.grid, sys.second_order)]
+        split = None if sys.second_order else red_black_split(sys.grid)
     if not np.all(diag > 0):
         raise LinearSolveError("matrix is not positive definite", iterations=0)
     x = np.zeros_like(b) if x0 is None else x0.values

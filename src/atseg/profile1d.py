@@ -14,9 +14,14 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidInputError, require_count
+from .errors import InvalidInputError
 
 SQRT2 = float(np.sqrt(2.0))
+
+# The discrete oracle's interval [0, ORACLE_T], past which the profile stays
+# within about 1e-6 of 1 per unit jump, and its number of samples.
+ORACLE_T = 20.0
+ORACLE_N = 4001
 
 
 def closed_form_profile(t, d: float = 0.0):
@@ -79,7 +84,7 @@ def profile_energy(f: np.ndarray, step: float) -> float:
     return simpson(integrand, step)
 
 
-def discrete_transition_minimum(d: float, T: float = 20.0, n: int = 4001) -> float:
+def discrete_transition_minimum(d: float) -> float:
     """Minimal discrete transition energy; independent oracle for sqrt(2)*(d-1)^2.
 
     Pins the first two samples to d (mirror form of f'(0) = 0 about the
@@ -87,28 +92,25 @@ def discrete_transition_minimum(d: float, T: float = 20.0, n: int = 4001) -> flo
     quadrature weight) and minimizes the quadratic energy over the remaining
     samples with one sparse SPD solve.
     """
-    if T < 10:
-        raise InvalidInputError("transition interval must satisfy T >= 10")
-    require_count("n", n, 101)
     # Imported here: only `profile`, the tests and --solver direct need
     # scipy.sparse.linalg.
     from scipy.sparse.linalg import spsolve
 
-    tau = T / (n - 1)
+    tau = ORACLE_T / (ORACLE_N - 1)
 
     # mass weights: ghost node 0, full cells inside, half cell at the right end
-    wm = np.full(n, tau)
+    wm = np.full(ORACLE_N, tau)
     wm[0] = 0.0
     wm[-1] = tau / 2.0
 
     # E(f) = sum_i wm_i (f_i - 1)^2 + tau * sum_i s_i^2 with
     # s_i = (f_i - 2 f_{i+1} + f_{i+2}) / tau^2; half the Hessian is
     # A = diag(wm) + tau * S^T S, pentadiagonal and SPD.
-    S = sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(n - 2, n)) / tau**2
+    S = sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(ORACLE_N - 2, ORACLE_N)) / tau**2
     A = (sp.diags(wm) + tau * (S.T @ S)).tocsc()
 
     # eliminate the pinned samples f0 = f1 = d and solve for the free ones
-    f = np.full(n, float(d))
+    f = np.full(ORACLE_N, float(d))
     f[2:] = spsolve(A[2:, 2:], wm[2:] - A[2:, :2] @ f[:2])
 
     r, s = f - 1.0, S @ f

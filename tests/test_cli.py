@@ -169,6 +169,22 @@ class TestSegment:
         assert rc == 0
         assert ("mask.pgm: empty, no value of v above threshold 1.005" in capsys.readouterr().err) == reported
 
+    @pytest.mark.parametrize(
+        "flags, reported",
+        [(["--model", "laplacian"], True), (["--model", "at"], True),
+         (["--model", "laplacian", "--intensity-scale", "1", "--alpha", "0.1", "--gamma", "100"], False),
+         (["--model", "at", "--intensity-scale", "1", "--alpha", "1", "--gamma", "100"], False)],
+        ids=["laplacian-defaults", "at-defaults", "laplacian-readme", "at-segmenting"],
+    )
+    def test_collapsed_edge_field_is_reported(self, tmp_path, capsys, flags, reported):
+        # On the quickstart phantom the default weights leave v < 0.5 on 100%
+        # (laplacian) and 98% (at) of the pixels; weights that segment, on
+        # 12% and 8%.
+        img = synth_phantom(tmp_path, kind="circles", nx=32, ny=32, sigma=0.1, seed=7)
+        assert main(["segment", str(img), "--output-dir", str(tmp_path / "out"), *flags]) == 0
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("v: collapsed edge field")]
+        assert len(lines) == (1 if reported else 0)
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_rejected_before_solving(self, tmp_path, capsys, threshold):
         # v > nan is false everywhere: without the check the run would write
@@ -332,6 +348,18 @@ class TestSweep:
         assert main(["sweep", str(img), *flags, "--output", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_capped_runs_exit_2_after_every_row(self, tmp_path, capsys):
+        # As segment does at the cap; the CSV still holds one row per eps.
+        img = synth_phantom(tmp_path, kind="circles", nx=32, ny=32, sigma=0.1, seed=7)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", str(img), "--eps-list", "0.06,0.03", "--model", "laplacian", "--maxit", "2",
+                   "--output", str(out)])
+        assert rc == 2
+        rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+        assert [r[4] for r in rows] == ["2", "2"]
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["eps=0.06: hit the iteration cap --maxit 2", "eps=0.03: hit the iteration cap --maxit 2"]
 
     def test_edge_phantom_trend(self, tmp_path):
         img = synth_phantom(tmp_path, kind="oned", nx=128, ny=16, sigma=0)

@@ -6,10 +6,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg, spsolve
 
-from atseg import linsolve
+from atseg import altmin, linsolve
 from atseg.energy import BoundaryKind, ModelKind, ModelParams, total_energy
 from atseg.errors import DegenerateSystemError, GridMismatchError, InvalidInputError, LinearSolveError
-from atseg.grid import Grid2D, ScalarField
+from atseg.grid import Grid2D, ScalarField, bilaplacian_matrix, laplacian_matrix
 from atseg.linsolve import (
     LinearSystem,
     assemble_u_system,
@@ -568,6 +568,48 @@ def test_matrix_viewing_a_cached_pattern_is_solved(kind):
     direct = solve(sys, method="direct").field.values
     assert r.converged
     assert np.linalg.norm(r.field.values - direct) <= 1e-8 * np.linalg.norm(direct)
+
+
+def test_assembled_systems_survive_pattern_cache_turnover(monkeypatch):
+    # Each assembler names the pattern it wrote its matrix on, so its solve
+    # reads the diagonal and split from the per-grid caches even after
+    # laplacian_matrix and bilaplacian_matrix have dropped the grid's entry:
+    # _red_black never splits an assembled matrix itself.
+    g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=40, ny=40, noise_sigma=0.1, seed=3))
+    systems = [system_of(kind, g) for kind in ("u", "first-order-v", "second-order-v")]
+    for n in range(20, 30):  # more grids than the pattern caches hold
+        grid = Grid2D.for_image(n, n)
+        laplacian_matrix(grid)
+        bilaplacian_matrix(grid)
+    split = linsolve._red_black
+    seen = []
+    monkeypatch.setattr(linsolve, "_red_black", lambda A, grid: seen.append(A) or split(A, grid))
+    for sys in systems:
+        r = solve(sys, tol=1e-10, method="cg")
+        direct = solve(sys, method="direct").field.values
+        assert r.converged
+        assert np.linalg.norm(r.field.values - direct) <= 1e-8 * np.linalg.norm(direct)
+    assert not any(A is sys.matrix for A in seen for sys in systems)
+
+
+@pytest.mark.parametrize(
+    "model, bc",
+    [(ModelKind.FIRST_ORDER_AT, BoundaryKind.NEUMANN), (ModelKind.SECOND_ORDER_LAPLACIAN, BoundaryKind.NEUMANN),
+     (ModelKind.SECOND_ORDER_LAPLACIAN, BoundaryKind.DIRICHLET_ONE)],
+    ids=["at", "laplacian", "laplacian-dirichlet1"],
+)
+def test_direct_runs_build_no_split(monkeypatch, model, bc):
+    # Only CG reads a red-black split, and it is built on a CG solve's
+    # first use: a direct run, whose peak memory the sweep benchmark
+    # measures, never holds one, not even from a cold cache.
+    linsolve.red_black_split.cache_clear()
+    split = linsolve._red_black
+    seen = []
+    monkeypatch.setattr(linsolve, "_red_black", lambda A, grid: seen.append(grid) or split(A, grid))
+    g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=24, ny=24, noise_sigma=0.1, seed=3))
+    result = altmin.run(g, params(model=model, bc=bc), maxit=3, solver="direct")
+    assert result.report.iterations > 0
+    assert seen == []
 
 
 def test_transpose_pattern_holds_the_permuted_values():

@@ -135,15 +135,6 @@ class TestDiscreteMinimum:
         assert disc <= quad + 2e-3
         assert disc <= hermite_bridge_energy(0.0, 0.0)
 
-    def test_preconditions(self):
-        with pytest.raises(InvalidInputError):
-            discrete_transition_minimum(0.0, T=5.0)
-        with pytest.raises(InvalidInputError):
-            discrete_transition_minimum(0.0, n=50)
-        for n in (201.5, True, "201"):
-            with pytest.raises(InvalidInputError, match="n must be an integer"):
-                discrete_transition_minimum(0.0, n=n)
-
 
 class TestHermiteBridge:
     def test_trivial_bridge(self):
