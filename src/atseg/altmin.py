@@ -16,12 +16,12 @@ at u and then the u half-step at that v; u is the whole state, since v is a
 function of it.  When the residual |G(s) - s| of an iteration from s has
 just fallen below that of the iteration before, the map is taken to
 contract there, and the next iteration starts from the type-II Anderson
-extrapolation of the last ANDERSON_DEPTH + 1 map values (Walker & Ni, SIAM
-J. Numer. Anal. 49(4), 2011) instead of from G(s).  The extrapolated start
-is kept only if the energy after the v half-step at it is at or below the
-last recorded total; otherwise the history is dropped and that half-step is
-redone from the last recorded u.  Either way the recorded total is
-non-increasing.
+extrapolation of depth 1 (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011),
+a secant step through the last two map values, instead of from G(s).  The
+extrapolated start is kept only if the energy after the v half-step at it
+is at or below the last recorded total; otherwise the history is dropped
+and that half-step is redone from the last recorded u.  Either way the
+recorded total is non-increasing.
 """
 
 from __future__ import annotations
@@ -39,25 +39,21 @@ from .linsolve import (
     assemble_v_system_first_order,
     assemble_v_system_second_order,
     _dot,
+    require_fidelity,
     solve,
 )
 
-# Anderson depth: an extrapolation fits up to this many differences of the
-# fixed-point residual.
-ANDERSON_DEPTH = 2
-# Differences are dropped, oldest first, while the smallest eigenvalue of
-# their Gram matrix is below this fraction of the largest.
-GRAM_RCOND = 1e-10
 # Inner CG tolerance while the outer loop is far from its stop, i.e. while
 # the last indicator e_k is at least TIGHTEN * tol; below that, on the
-# iteration maxit and under "direct", solves run to solver_tol.  Measured on
-# the benchmark's noisy-cg and noisy-default (128x128 seed-12 sigma=0.1
-# circles; 10-15 alternating in-process pairs on a 2-core VM): 1e-5 took 13%
-# less wall time than 1e-6, but 71 outer iterations on noisy-default (1e-6:
-# 70; solver_tol throughout: 69), and on the 256x256 `at` phantom with
-# alpha_u=1, gamma_u=100 it moved the final energy by 2.6e-11 relative
-# (1e-6: 3e-14).  TIGHTEN = 100 took 14% more inner iterations on noisy-cg
-# and 9% more on noisy-default, and was slower on noisy-cg in 9 of 10 pairs.
+# iteration maxit and under "direct", solves run to solver_tol.  Measured
+# with the depth-2 Anderson fit on the benchmark's noisy-cg and noisy-default
+# (128x128 seed-12 sigma=0.1 circles; 10-15 alternating in-process pairs on a
+# 2-core VM): 1e-5 took 13% less wall time than 1e-6, but 71 outer iterations
+# on noisy-default (1e-6: 70, and 75 with the secant step; solver_tol
+# throughout: 69), and on the 256x256 `at` phantom with alpha_u=1,
+# gamma_u=100 it moved the final energy by 2.6e-11 relative (1e-6: 3e-14).
+# TIGHTEN = 100 took 14% more inner iterations on noisy-cg and 9% more on
+# noisy-default, and was slower on noisy-cg in 9 of 10 pairs.
 LOOSE_TOL = 1e-6
 TIGHTEN = 10.0
 
@@ -101,26 +97,20 @@ def convergence_indicator(
 
 
 def _anderson(gs: list[np.ndarray], fs: list[np.ndarray]) -> np.ndarray | None:
-    """Type-II Anderson extrapolation G(s_k) - dG gamma from the map values
-    gs[i] = G(s_i) and residuals fs[i] = G(s_i) - s_i, oldest first; dF and dG
-    hold the differences of consecutive entries, and gamma minimizes
-    |f_k - dF gamma| by its normal equations.  The oldest differences are
-    dropped while their Gram matrix is ill-conditioned; None if none is left.
-    """
-    dF = [b - a for a, b in zip(fs, fs[1:])]
-    gram = np.array([[_dot(a, b) for b in dF] for a in dF])
-    rhs = np.array([_dot(a, fs[-1]) for a in dF])
-    for j in range(len(dF)):
-        w = np.linalg.eigvalsh(gram[j:, j:])
-        if w[0] > GRAM_RCOND * w[-1]:
-            # G(s_k) - sum_i gamma_i (gs[i+1] - gs[i]) as a combination of gs[j:]
-            gamma = np.linalg.solve(gram[j:, j:], rhs[j:])
-            coef = np.diff(gamma, prepend=0.0, append=1.0)
-            x = coef[0] * gs[j]
-            for c, y in zip(coef[1:], gs[j + 1 :]):
-                x += c * y
-            return x
-    return None
+    """Depth-1 type-II Anderson extrapolation, a secant step, from the map
+    values gs[i] = G(s_i) and residuals fs[i] = G(s_i) - s_i, oldest first:
+    G(s_k) - gamma (G(s_k) - G(s_k-1)), where gamma = df.f_k / df.df minimizes
+    |f_k - gamma df| for df = f_k - f_k-1.  None if len(fs) < 2 or df = 0."""
+    if len(fs) < 2:
+        return None
+    df = fs[-1] - fs[-2]
+    dd = _dot(df, df)
+    if not dd > 0:
+        return None
+    gamma = _dot(df, fs[-1]) / dd
+    x = gamma * gs[-2]
+    x += (1.0 - gamma) * gs[-1]
+    return x
 
 
 def _solved(res: SolveResult, what: str, k: int) -> SolveResult:
@@ -132,6 +122,16 @@ def _solved(res: SolveResult, what: str, k: int) -> SolveResult:
             iterations=res.iterations,
         )
     return res
+
+
+def check_arguments(g: ScalarField, params: ModelParams, tol: float, maxit: int) -> None:
+    """run's checks before its first solve, for callers to make before they write output."""
+    if not tol > 0:
+        raise InvalidInputError("tolerance must be positive")
+    require_count("maxit", maxit, 1)
+    if g.values.min() < 0.0 or g.values.max() > 1.0:
+        raise InvalidInputError("input image values must lie in [0, 1]")
+    require_fidelity(params)
 
 
 def run(
@@ -154,10 +154,10 @@ def run(
     test e_k < tol counts only on an iteration whose solves ran at, or
     reported a true residual within, solver_tol, so solver_tol is the
     accuracy of the last recorded state of a converged run, and of any run
-    that reaches maxit.  The loop is extrapolated as the module
-    docstring says, with no option to turn it off: an extrapolated start
-    costs one energy evaluation, and one more v-solve if the energy check
-    rejects it.
+    that reaches maxit.  The loop takes the secant step of the module
+    docstring, with no option to turn it off: an extrapolated start costs
+    one energy evaluation, and one more v-solve if the energy check rejects
+    it.
 
     e_k compares consecutive recorded iterates, (u_k, v_k) against
     (u_k-1, v_k-1), whichever start iteration k took: it is the larger of the
@@ -169,14 +169,10 @@ def run(
 
     Raises LinearSolveError (its message names the outer iteration, its
     iterations the inner count) if an inner solve fails to converge; reaching
-    maxit is not an error and is reported through report.converged.  maxit
-    must be an integer of at least 1, or InvalidInputError.
+    maxit is not an error and is reported through report.converged.  The
+    arguments are checked first, by check_arguments.
     """
-    if not tol > 0:
-        raise InvalidInputError("tolerance must be positive")
-    require_count("maxit", maxit, 1)
-    if g.values.min() < 0.0 or g.values.max() > 1.0:
-        raise InvalidInputError("input image values must lie in [0, 1]")
+    check_arguments(g, params, tol, maxit)
 
     u = u0 if u0 is not None else g
     v = v0 if v0 is not None else ScalarField.constant(g.grid, 1.0)
@@ -190,7 +186,7 @@ def run(
 
     entries: list[IterationEntry] = []
     converged = False
-    gs: list[np.ndarray] = []  # G(s_i) of the recent starts s_i, oldest first
+    gs: list[np.ndarray] = []  # G(s_i) of the last two starts s_i, oldest first
     fs: list[np.ndarray] = []  # their residuals G(s_i) - s_i
     s = u  # start of the next outer iteration: u, or its extrapolation
     last = np.inf  # squared norm of the last residual G(s) - s
@@ -212,8 +208,8 @@ def run(
         f = u_new.values - s.values
         f2 = _dot(f, f)
         contracted, last = f2 < last, f2
-        gs = [*gs[-ANDERSON_DEPTH:], u_new.values]
-        fs = [*fs[-ANDERSON_DEPTH:], f]
+        gs = [*gs[-1:], u_new.values]
+        fs = [*fs[-1:], f]
         u = s = u_new
         v = v_new
         if e_k < tol and exact:

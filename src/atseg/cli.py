@@ -122,6 +122,7 @@ def cmd_segment(args) -> int:
     edges.check_threshold(args.threshold)
     g = _read_field(args.input)
     params = _params(args, args.eps)
+    altmin.check_arguments(g, params, args.tol, args.maxit)  # a run that cannot start writes nothing
     outdir = args.output_dir
     outdir.mkdir(parents=True, exist_ok=True)  # an unusable directory fails before the solve
     for name in ("u.pgm", "v.pgm", "v.f64", "mask.pgm", "history.csv"):  # so does an unwritable file
@@ -221,6 +222,7 @@ def cmd_sweep(args) -> int:
     runs = [_params(args, eps) for eps in eps_values]  # reject a bad eps before any output
 
     g = _read_field(args.input)
+    altmin.check_arguments(g, runs[0], args.tol, args.maxit)  # tol, maxit and gamma do not vary with eps
     capped = False
     out = open(args.output, "w") if args.output is not None else sys.stdout
     try:

@@ -184,6 +184,12 @@ def red_black_split(grid: Grid2D) -> RedBlack:
     return _red_black(laplacian_matrix(grid), grid)
 
 
+def require_fidelity(params: ModelParams) -> None:
+    """DegenerateSystemError unless gamma > 0."""
+    if params.gamma <= 0:
+        raise DegenerateSystemError("gamma must be positive: the u-system is singular without fidelity")
+
+
 def assemble_u_system(v: ScalarField, g: ScalarField, params: ModelParams) -> LinearSystem:
     """System for the image half-step: descent for
     alpha*int v^2|grad u|^2 + eta*int|grad u|^2 + gamma*int(u-g)^2.
@@ -194,8 +200,7 @@ def assemble_u_system(v: ScalarField, g: ScalarField, params: ModelParams) -> Li
     on both halves of D to its values, and 2*gamma goes on the diagonal.
     """
     grid = same_grid(v, g)
-    if params.gamma <= 0:
-        raise DegenerateSystemError("gamma must be positive: the u-system is singular without fidelity")
+    require_fidelity(params)
     c = 1.0 / grid.h
     q = (2.0 * params.alpha_u * v.values**2 + 2.0 * params.eta) * c * c
     data = gram_map(grid) @ np.concatenate([q, q])

@@ -188,18 +188,17 @@ def segmenting_params(model=ModelKind.FIRST_ORDER_AT):
 
 class TestExtrapolation:
     def test_exact_on_an_affine_map(self):
-        # With as many differences as unknowns, type-II Anderson on an affine
-        # contraction G(x) = M x + c lands on its fixed point.
-        M = np.array([[0.5, 0.2], [-0.1, 0.7]])
+        # On an affine contraction G(x) = 0.6 x + c, whose Jacobian is a
+        # multiple of the identity, one secant step from the last two map
+        # values lands on its fixed point c / 0.4.
         c = np.array([1.0, -2.0])
         s = np.zeros(2)
         gs, fs = [], []
         for _ in range(3):
-            gs.append(M @ s + c)
+            gs.append(0.6 * s + c)
             fs.append(gs[-1] - s)
             s = gs[-1]
-        fixed = np.linalg.solve(np.eye(2) - M, c)
-        assert np.allclose(altmin._anderson(gs, fs), fixed, rtol=0, atol=1e-12)
+        assert np.allclose(altmin._anderson(gs, fs), c / 0.4, rtol=0, atol=1e-12)
 
     def test_rank_deficient_history_drops_differences(self):
         rng = np.random.default_rng(0)
@@ -212,14 +211,16 @@ class TestExtrapolation:
         assert np.allclose(altmin._anderson(gs, fs), altmin._anderson(gs[1:], fs[1:]), rtol=0, atol=1e-14)
 
     def test_cuts_outer_iterations_on_a_segmenting_run(self):
-        # Without extrapolation this run takes 40 outer iterations; with it, 20.
-        g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=64, ny=64, noise_sigma=0.1, seed=12))
-        res = run(g, segmenting_params())
-        assert res.report.converged
-        assert res.report.iterations <= 30
-        totals = [e.breakdown.total for e in res.report.entries]
-        slack = 1e-10 * (1.0 + totals[0])
-        assert all(b <= a + slack for a, b in zip(totals, totals[1:]))
+        # Without extrapolation the 64x64 run takes 40 outer iterations; with
+        # it, 19.  The 128x128 run takes 25 (31 with the depth-2 fit).
+        for n, bound in ((64, 30), (128, 27)):
+            g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=n, ny=n, noise_sigma=0.1, seed=12))
+            res = run(g, segmenting_params())
+            assert res.report.converged
+            assert res.report.iterations <= bound
+            totals = [e.breakdown.total for e in res.report.entries]
+            slack = 1e-10 * (1.0 + totals[0])
+            assert all(b <= a + slack for a, b in zip(totals, totals[1:]))
 
     def test_rejected_extrapolation_is_redone_from_the_plain_iterate(self, monkeypatch):
         # Each rejected start costs one more v-solve than the recorded
@@ -254,7 +255,7 @@ class TestExtrapolation:
 SOLVER_TOL = 1e-10  # run's default solver_tol
 # Summed inner iterations of the 64x64 runs below, CG: with every solve at
 # SOLVER_TOL they took 1564 (`at`) and 1168 (`laplacian`); with loose solves
-# until the outer loop nears its stop, 736 and 608.
+# until the outer loop nears its stop, 738 and 603.
 INNER_ITERATIONS_BOUND = {ModelKind.FIRST_ORDER_AT: 1000, ModelKind.SECOND_ORDER_LAPLACIAN: 850}
 
 

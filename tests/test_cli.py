@@ -419,6 +419,30 @@ class TestNonFiniteInput:
         assert main(["profile", "--step", "nan"]) == 1
 
 
+@pytest.mark.parametrize("command", ["segment", "sweep"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--tol", "tolerance must be positive"),
+        ("--maxit", "maxit must be an integer of at least 1, got 0"),
+        ("--gamma", "gamma must be positive: the u-system is singular without fidelity"),
+    ],
+    ids=["tol", "maxit", "gamma"],
+)
+def test_run_argument_errors_leave_no_output(tmp_path, capsys, command, flag, message):
+    # checked after reading the input and before creating any output
+    img = tmp_path / "c.pgm"
+    write_constant_pgm(img)
+    out = tmp_path / "out"
+    if command == "segment":
+        args = ["segment", str(img), "--output-dir", str(out)]
+    else:
+        args = ["sweep", str(img), "--eps-list", "0.06,0.03", "--output", str(out)]
+    assert main([*args, flag, "0"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_profile_too_many_samples():
     # 1e15 samples: numpy cannot allocate them (7 PiB), so no memory is touched
     assert main(["profile", "--tmax", "1e12"]) == 1

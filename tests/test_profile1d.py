@@ -119,7 +119,7 @@ class TestDiscreteMinimum:
         assert discrete_transition_minimum(d) == pytest.approx(SQRT2 * (d - 1) ** 2, abs=2e-3)
 
     def test_trivial_at_one(self):
-        # f = 1 is exact; the banded solve leaves conditioning-level noise
+        # f = 1 is exact; the sparse solve leaves conditioning-level noise
         assert discrete_transition_minimum(1.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_quadratic_in_left_value(self):
