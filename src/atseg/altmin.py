@@ -13,13 +13,13 @@ solved to that tolerance, which the last recorded state then meets.
 
 An iteration from u is the fixed-point map G(u) = U(V(u)), the v half-step
 at u and then the u half-step at that v; u is the whole state, since v is a
-function of it.  When the residual |G(s) - s| of an iteration from s has
-just fallen below that of the iteration before, the map is taken to
-contract there, and the next iteration starts from the type-II Anderson
+function of it.  The next iteration starts from the type-II Anderson
 extrapolation of depth 1 (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011),
-a secant step through the last two map values, instead of from G(s).  The
+a secant step through the last two map values, instead of from G(s), when
+its weight gamma is below 1/2, which holds exactly when the residual
+|G(s) - s| has just fallen below that of the iteration before.  The
 extrapolated start is kept only if the energy after the v half-step at it
-is at or below the last recorded total; otherwise the history is dropped
+is at or below the last recorded total; otherwise the last pair is dropped
 and that half-step is redone from the last recorded u.  Either way the
 recorded total is non-increasing.
 """
@@ -96,20 +96,23 @@ def convergence_indicator(
     return max(du / un if du else 0.0, dv / vn if dv else 0.0)
 
 
-def _anderson(gs: list[np.ndarray], fs: list[np.ndarray]) -> np.ndarray | None:
-    """Depth-1 type-II Anderson extrapolation, a secant step, from the map
-    values gs[i] = G(s_i) and residuals fs[i] = G(s_i) - s_i, oldest first:
-    G(s_k) - gamma (G(s_k) - G(s_k-1)), where gamma = df.f_k / df.df minimizes
-    |f_k - gamma df| for df = f_k - f_k-1.  None if len(fs) < 2 or df = 0."""
-    if len(fs) < 2:
+def _anderson(prev: tuple[np.ndarray, np.ndarray] | None, g: np.ndarray, f: np.ndarray) -> np.ndarray | None:
+    """Depth-1 type-II Anderson (secant) step from g = G(s_k), f = g - s_k and
+    prev = (G(s_k-1), f_k-1): g - gamma (g - G(s_k-1)), where gamma = df.f /
+    df.df minimizes |f - gamma df| for df = f - f_k-1.  None if prev is None,
+    df = 0 or gamma is not below 1/2, which holds unless |f| < |f_k-1|."""
+    if prev is None:
         return None
-    df = fs[-1] - fs[-2]
+    g0, f0 = prev
+    df = f - f0
     dd = _dot(df, df)
     if not dd > 0:
         return None
-    gamma = _dot(df, fs[-1]) / dd
-    x = gamma * gs[-2]
-    x += (1.0 - gamma) * gs[-1]
+    gamma = _dot(df, f) / dd
+    if not gamma < 0.5:
+        return None
+    x = gamma * g0
+    x += (1.0 - gamma) * g
     return x
 
 
@@ -147,17 +150,17 @@ def run(
     """Alternate the v and u half-steps from u = g, v = 1 until e_k < tol.
 
     Each inner solve runs linsolve.solve with method=solver ("cg", warm-started
-    from the previous iterate, or "direct" for bit-identical reruns).  Direct
-    solves run to relative residual solver_tol.  CG solves run to
+    from the previous iterate, or "direct", the exact reference for CG).
+    Direct solves run to relative residual solver_tol.  CG solves run to
     max(LOOSE_TOL, solver_tol), and to solver_tol on iteration maxit and on
     any iteration after one whose e_k fell below TIGHTEN * tol.  The stop
     test e_k < tol counts only on an iteration whose solves ran at, or
     reported a true residual within, solver_tol, so solver_tol is the
     accuracy of the last recorded state of a converged run, and of any run
     that reaches maxit.  The loop takes the secant step of the module
-    docstring, with no option to turn it off: an extrapolated start costs
-    one energy evaluation, and one more v-solve if the energy check rejects
-    it.
+    docstring whenever its weight gamma is below 1/2, with no option to turn
+    it off: an extrapolated start costs one energy evaluation, and one more
+    v-solve if the energy check rejects it.
 
     e_k compares consecutive recorded iterates, (u_k, v_k) against
     (u_k-1, v_k-1), whichever start iteration k took: it is the larger of the
@@ -186,17 +189,15 @@ def run(
 
     entries: list[IterationEntry] = []
     converged = False
-    gs: list[np.ndarray] = []  # G(s_i) of the last two starts s_i, oldest first
-    fs: list[np.ndarray] = []  # their residuals G(s_i) - s_i
+    prev = None  # (G(s), G(s) - s) of the last iteration's start s
     s = u  # start of the next outer iteration: u, or its extrapolation
-    last = np.inf  # squared norm of the last residual G(s) - s
     e_k = np.inf  # the indicator of the last iteration
     for k in range(1, maxit + 1):
         tight = solver == "direct" or k == maxit or e_k < TIGHTEN * tol
         eta = solver_tol if tight else max(LOOSE_TOL, solver_tol)
         v_res = _solved(solve(assemble_v(s, params), tol=eta, method=solver, x0=v), "edge-field", k)
         if s is not u and total_energy(s, v_res.field, g, params).total > entries[-1].breakdown.total:
-            gs, fs, s = [], [], u  # the extrapolation raised the energy: drop it
+            prev, s = None, u  # the extrapolation raised the energy: drop it
             v_res = _solved(solve(assemble_v(s, params), tol=eta, method=solver, x0=v), "edge-field", k)
         v_new = v_res.field
         u_res = _solved(solve(assemble_u_system(v_new, g, params), tol=eta, method=solver, x0=s), "image", k)
@@ -206,19 +207,13 @@ def run(
         e_k = convergence_indicator(u_new, u, v_new, v)
         entries.append(IterationEntry(k, e_k, total_energy(u_new, v_new, g, params)))
         f = u_new.values - s.values
-        f2 = _dot(f, f)
-        contracted, last = f2 < last, f2
-        gs = [*gs[-1:], u_new.values]
-        fs = [*fs[-1:], f]
-        u = s = u_new
-        v = v_new
+        u, v = u_new, v_new
         if e_k < tol and exact:
             converged = True
             break
-        if contracted:
-            x = _anderson(gs, fs)
-            if x is not None:
-                s = ScalarField(g.grid, x)
+        x = _anderson(prev, u.values, f)
+        prev = (u.values, f)
+        s = u if x is None else ScalarField(g.grid, x)
 
     report = IterationReport(tuple(entries), converged)
     return SegmentationResult(u, v, report)

@@ -43,7 +43,7 @@ def _add_run_flags(p: argparse.ArgumentParser, eps: bool = True) -> None:
     p.add_argument("--tol", type=float, default=1e-4, help="stop when e_k drops below this")
     p.add_argument("--maxit", type=int, default=500, help="outer iteration cap")
     p.add_argument("--solver", choices=linsolve.SOLVER_METHODS, default=linsolve.SOLVER_METHODS[0],
-                   help="inner linear solver: preconditioned CG, or sparse LU for bit-identical reruns")
+                   help="inner linear solver: preconditioned CG, or exact sparse LU (the reference for CG)")
 
 
 def _params(args, eps: float) -> ModelParams:
@@ -263,8 +263,9 @@ def cmd_energy(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (AtsegError, OSError) as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except (AtsegError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,7 @@ and the red values are back-substituted.  That takes half the iterations
 of Jacobi-CG on the whole grid, on vectors half as long.  Every other
 matrix (the fourth-order v-system, whose condition number grows like h^-4)
 takes CG preconditioned by a symmetric geometric multigrid V-cycle.
-Sparse LU on request, for reruns that must be bit-identical.
+Sparse LU on request solves exactly; the tests compare CG against it.
 The V-cycle smooths with a Chebyshev polynomial in the l1-scaled operator,
 applied as l1-Jacobi sweeps damped by the inverses of its roots, which
 removes more error per product with the matrix than undamped sweeps do and

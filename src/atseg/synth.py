@@ -85,28 +85,30 @@ def generate(spec: PhantomSpec) -> tuple[ScalarField, EdgeDescription]:
     exact and independent of the noise.
     """
     grid = Grid2D.for_image(spec.nx, spec.ny)
-    x = grid.xcoords()[None, :]
-    y = grid.ycoords()[:, None]
     lo = 0.5 - spec.contrast / 2.0
     hi = 0.5 + spec.contrast / 2.0
+    try:
+        x = grid.xcoords()[None, :]
+        y = grid.ycoords()[:, None]
+        if spec.kind is PhantomKind.ONED_STRUCTURE:
+            c = spec.edge_fraction * grid.width
+            inside = np.broadcast_to(x >= c, (spec.ny, spec.nx))
+            truth: EdgeDescription = VerticalLineEdge(c)
+        elif spec.kind is PhantomKind.ELLIPSE:
+            cx, cy = spec.ellipse_center
+            a, b = spec.ellipse_axes
+            inside = ((x - cx) / a) ** 2 + ((y - cy) / b) ** 2 <= 1.0
+            truth = EllipseEdge(cx, cy, a, b)
+        else:
+            (cx1, cy1), (cx2, cy2) = spec.circle_centers
+            r = spec.circle_radius
+            inside = ((x - cx1) ** 2 + (y - cy1) ** 2 <= r**2) | ((x - cx2) ** 2 + (y - cy2) ** 2 <= r**2)
+            truth = CirclePairEdge(cx1, cy1, r, cx2, cy2, r)
 
-    if spec.kind is PhantomKind.ONED_STRUCTURE:
-        c = spec.edge_fraction * grid.width
-        inside = np.broadcast_to(x >= c, (spec.ny, spec.nx))
-        truth: EdgeDescription = VerticalLineEdge(c)
-    elif spec.kind is PhantomKind.ELLIPSE:
-        cx, cy = spec.ellipse_center
-        a, b = spec.ellipse_axes
-        inside = ((x - cx) / a) ** 2 + ((y - cy) / b) ** 2 <= 1.0
-        truth = EllipseEdge(cx, cy, a, b)
-    else:
-        (cx1, cy1), (cx2, cy2) = spec.circle_centers
-        r = spec.circle_radius
-        inside = ((x - cx1) ** 2 + (y - cy1) ** 2 <= r**2) | ((x - cx2) ** 2 + (y - cy2) ** 2 <= r**2)
-        truth = CirclePairEdge(cx1, cy1, r, cx2, cy2, r)
-
-    img = np.where(inside, hi, lo).astype(float)
-    if spec.noise_sigma > 0:
-        img = img + spec.noise_sigma * _seeded_normal(spec.seed, img.size).reshape(img.shape)
-        img = np.clip(img, 0.0, 1.0)
-    return ScalarField.from_matrix(grid, img), truth
+        img = np.where(inside, hi, lo).astype(float)
+        if spec.noise_sigma > 0:
+            img = img + spec.noise_sigma * _seeded_normal(spec.seed, img.size).reshape(img.shape)
+            img = np.clip(img, 0.0, 1.0)
+        return ScalarField.from_matrix(grid, img), truth
+    except MemoryError:  # nx * ny pixels cannot be held
+        raise InvalidInputError(f"cannot hold a {spec.nx}x{spec.ny} phantom in memory") from None

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atseg import altmin
 from atseg.altmin import convergence_indicator, run
@@ -198,17 +201,29 @@ class TestExtrapolation:
             gs.append(0.6 * s + c)
             fs.append(gs[-1] - s)
             s = gs[-1]
-        assert np.allclose(altmin._anderson(gs, fs), c / 0.4, rtol=0, atol=1e-12)
+        assert np.allclose(altmin._anderson((gs[-2], fs[-2]), gs[-1], fs[-1]), c / 0.4, rtol=0, atol=1e-12)
 
-    def test_rank_deficient_history_drops_differences(self):
+    def test_no_step_without_a_previous_pair_or_a_difference(self):
         rng = np.random.default_rng(0)
-        g0, f0, d = rng.random(16), rng.random(16), rng.random(16)
-        # no difference left: no extrapolation
-        assert altmin._anderson([g0, g0, g0], [f0, f0, f0]) is None
-        assert altmin._anderson([g0], [f0]) is None
-        # parallel differences: the older one is dropped, the fit uses the newer
-        gs, fs = [g0, g0 + d, g0 + 3 * d], [f0, f0 + d, f0 + 3 * d]
-        assert np.allclose(altmin._anderson(gs, fs), altmin._anderson(gs[1:], fs[1:]), rtol=0, atol=1e-14)
+        g0, f0, g = rng.random(16), rng.random(16), rng.random(16)
+        assert altmin._anderson(None, g, f0) is None
+        assert altmin._anderson((g0, f0), g, f0.copy()) is None
+
+    @settings(deadline=None)
+    @given(arrays(np.float64, st.tuples(st.just(4), st.integers(1, 16)), elements=st.floats(-1.0, 1.0)))
+    def test_steps_exactly_when_the_residual_falls(self, vectors):
+        # gamma < 1/2 exactly when |f| < |f0|; near-ties, where rounding may
+        # decide either way, and residuals whose squares underflow are left out
+        g0, f0, g, f = vectors
+        ff, ff0 = np.dot(f, f), np.dot(f0, f0)
+        assume(abs(ff - ff0) > 1e-9 * (ff + ff0) and ff + ff0 > 1e-100)
+        x = altmin._anderson((g0, f0), g, f)
+        if ff >= ff0:
+            assert x is None
+        else:
+            df = f - f0  # gamma summed as the package sums it: its rounding is not under test
+            gamma = altmin._dot(df, f) / altmin._dot(df, df)
+            assert np.allclose(x, gamma * g0 + (1.0 - gamma) * g, rtol=1e-12, atol=1e-12)
 
     def test_cuts_outer_iterations_on_a_segmenting_run(self):
         # Without extrapolation the 64x64 run takes 40 outer iterations; with

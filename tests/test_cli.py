@@ -226,6 +226,13 @@ class TestSynth:
         assert "error: seed must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "g.pgm").exists()
 
+    def test_grid_beyond_memory_is_an_error(self, tmp_path, capsys):
+        # 10^14 pixels (728 TiB of float64) exceed the address space: nothing is allocated
+        out = tmp_path / "big.pgm"
+        assert main(["synth", str(out), "--nx", "10000000", "--ny", "10000000"]) == 1
+        assert "error: cannot hold a 10000000x10000000 phantom" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProfile:
     def test_constants_printed(self, tmp_path, capsys):
@@ -407,6 +414,26 @@ class TestEnergy:
             warnings.simplefilter("error")
             assert main(["energy", str(img), "--alpha", "1e306"]) == 1
         assert "error: alpha * intensity_scale**2 must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, status",
+    [
+        (["--alpha", "1e300"], 1),
+        (["--intensity-scale", "1", "--gamma", "1e300"], 1),
+        (["--eps", "1e-300"], 1),
+        (["--eps", "1e-300", "--solver", "direct"], 0),
+    ],
+    ids=["alpha", "gamma", "eps", "eps-direct"],
+)
+def test_overflow_in_a_solve_is_an_error(tmp_path, capsys, flags, status):
+    # finite weights whose system entries overflow: an error, not a warning.
+    # eps = 1e-300 overflows only inside CG's products, so direct still segments.
+    img = synth_phantom(tmp_path, kind="circles", nx=32, ny=32, sigma=0.1, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["segment", str(img), "--output-dir", str(tmp_path / "out"), *flags]) == status
+    assert ("error: overflow" in capsys.readouterr().err) == (status == 1)
 
 
 class TestNonFiniteInput:
