@@ -4,6 +4,7 @@ gradient perturbation, fidelity, and the interpolation-inequality diagnostic.
 All integrals use the rectangle sum h^2 * sum(.) over grid nodes with the same
 difference operators as the linear solvers, so each half-step of alternating
 minimization decreases the reported total exactly, not just approximately.
+On this grid Dx and Dy commute, so int|D^2 v|^2 = int(Lv)^2: the paper's Hessian term is the laplacian one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .grid import ScalarField, difference_matrices, grad_forward, laplacian, same_grid
+from .grid import ScalarField, grad_forward, laplacian, same_grid
 
 SQRT2 = float(np.sqrt(2.0))
 # sqrt of float64's machine epsilon, about 1.5e-8
@@ -147,29 +148,6 @@ def mm_second_order_laplacian(v: ScalarField, params: ModelParams) -> float:
     return _edge_term(v, ModelKind.SECOND_ORDER_LAPLACIAN, params, lv * lv)
 
 
-def hessian_terms(v: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Discrete (v_xx, v_xy, v_yy) = (-Dx^T Dx v, Dy Dx v, -Dy^T Dy v) as flat arrays.
-
-    The pure second derivatives are the two halves of the Laplacian
-    L = -(Dx^T Dx + Dy^T Dy), so v_xx + v_yy equals the Laplacian up to
-    rounding; the mixed derivative is forward-forward differencing.
-    """
-    Dx, Dy = difference_matrices(v.grid)
-    dxv = Dx @ v.values
-    return -(Dx.T @ dxv), Dy @ dxv, -(Dy.T @ (Dy @ v.values))
-
-
-def hessian_sq(v: ScalarField) -> np.ndarray:
-    """Pointwise squared Frobenius norm of the discrete Hessian, v_xx^2 + 2 v_xy^2 + v_yy^2."""
-    vxx, vxy, vyy = hessian_terms(v)
-    return vxx**2 + 2.0 * vxy**2 + vyy**2
-
-
-def mm_second_order_hessian(v: ScalarField, params: ModelParams) -> float:
-    """The laplacian edge term with |hess v|^2 for (lap v)^2 (evaluation only)."""
-    return _edge_term(v, ModelKind.SECOND_ORDER_LAPLACIAN, params, hessian_sq(v))
-
-
 def mm_term(v: ScalarField, params: ModelParams) -> float:
     if params.model is ModelKind.FIRST_ORDER_AT:
         return mm_first_order(v, params)
@@ -193,15 +171,14 @@ def total_energy(u: ScalarField, v: ScalarField, g: ScalarField, params: ModelPa
 
 
 def gagliardo_ratio(v: ScalarField, params: ModelParams) -> float:
-    """Interpolation diagnostic: eps*int|grad v|^2 over (1/eps)*int(v-1)^2 + eps^3*int|hess v|^2.
+    """Interpolation diagnostic: eps*int|grad v|^2 over (1/eps)*int(v-1)^2 + eps^3*int(Lv)^2.
 
-    Boundedness of this ratio across eps witnesses the Gagliardo-Nirenberg
-    interpolation inequality for the shifted field v - 1.
-
-    The ratio does not change when v - 1 is scaled, so it says nothing about
-    a v - 1 of rounding size: a direct solve on an all-black image returns
-    v = 1 plus noise up to about 1e-12.  A v within sqrt(machine epsilon) of
-    1 everywhere raises DegenerateInputError, as v identically 1 does.
+    On this grid int(Lv)^2 = int|D^2 v|^2 (module docstring).  Boundedness of
+    the ratio across eps witnesses the Gagliardo-Nirenberg inequality for v - 1.
+    It does not change when v - 1 is scaled, so it says nothing about a v - 1
+    of rounding size: a direct solve on an all-black image returns v = 1 plus
+    noise up to about 1e-12.  A v within sqrt(machine epsilon) of 1 everywhere
+    raises DegenerateInputError, as v identically 1 does.
     """
     grid = v.grid
     eps = params.eps
@@ -209,5 +186,6 @@ def gagliardo_ratio(v: ScalarField, params: ModelParams) -> float:
     if np.max(np.abs(r)) <= ROUNDING_LEVEL:
         raise DegenerateInputError("ratio undefined for v within rounding of 1")
     num = eps * _cellsum(grid, _grad_sq(v))
-    den = _cellsum(grid, r * r) / eps + eps**3 * _cellsum(grid, hessian_sq(v))
+    lv = laplacian(v).values
+    den = _cellsum(grid, r * r) / eps + eps**3 * _cellsum(grid, lv * lv)
     return num / den

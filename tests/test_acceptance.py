@@ -16,8 +16,8 @@ from atseg.edges import level_mask, two_sided_midpoints
 from atseg.energy import (
     ModelKind,
     ModelParams,
+    edge_weights,
     gagliardo_ratio,
-    mm_second_order_hessian,
     mm_second_order_laplacian,
 )
 from atseg.grid import (
@@ -25,6 +25,7 @@ from atseg.grid import (
     ScalarField,
     VectorField2,
     bilaplacian,
+    difference_matrices,
     div_adjoint,
     dot,
     dot_vec,
@@ -216,7 +217,14 @@ def test_criterion_9_one_dimensional_coincidence():
     g, _ = generate(spec)
     p = params(ModelKind.SECOND_ORDER_LAPLACIAN, 9e-2)
     res = run(g, p, solver="direct")
-    a = mm_second_order_hessian(res.v, p)
+    # the paper's Hessian edge term (1/2) h^2 sum c0 (v-1)^2 + ck |D^2 v|^2, with
+    # v_xx = -Dx^T Dx v, v_xy = Dy Dx v and v_yy = -Dy^T Dy v
+    Dx, Dy = difference_matrices(res.v.grid)
+    v = res.v.values
+    dxv = Dx @ v
+    hess_sq = (Dx.T @ dxv) ** 2 + 2.0 * (Dy @ dxv) ** 2 + (Dy.T @ (Dy @ v)) ** 2
+    c0, ck = edge_weights(ModelKind.SECOND_ORDER_LAPLACIAN, p)
+    a = 0.5 * res.v.grid.h**2 * float(np.sum(c0 * (v - 1.0) ** 2 + ck * hess_sq))
     b = mm_second_order_laplacian(res.v, p)
     assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
     note("9 one-dimensional coincidence", f"|hessian-laplacian| = {abs(a - b):.2e}")

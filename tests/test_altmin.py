@@ -143,18 +143,6 @@ class TestRun:
         assert np.allclose(r_cg.u.values, r_dir.u.values, atol=1e-6)
         assert np.allclose(r_cg.v.values, r_dir.v.values, atol=1e-6)
 
-    def test_one_dimensional_models_coincide(self):
-        # y-constant data on a two-row grid: Hessian and Laplacian penalties agree
-        from atseg.energy import mm_second_order_hessian, mm_second_order_laplacian
-
-        spec = PhantomSpec(PhantomKind.ONED_STRUCTURE, nx=128, ny=2, noise_sigma=0.0)
-        g, _ = generate(spec)
-        p = params(eps=9e-2, model=ModelKind.SECOND_ORDER_LAPLACIAN)
-        res = run(g, p, solver="direct")
-        a = mm_second_order_hessian(res.v, p)
-        b = mm_second_order_laplacian(res.v, p)
-        assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
-
     def test_input_validation(self):
         g = ScalarField.constant(Grid2D.for_image(8, 8), 0.5)
         with pytest.raises(InvalidInputError):

@@ -9,10 +9,7 @@ from atseg.energy import (
     ModelParams,
     edge_weights,
     gagliardo_ratio,
-    hessian_sq,
-    hessian_terms,
     mm_first_order,
-    mm_second_order_hessian,
     mm_second_order_laplacian,
     total_energy,
 )
@@ -67,7 +64,6 @@ class TestEdgeSetTerms:
         p = params()
         assert mm_first_order(v, p) == 0.0
         assert mm_second_order_laplacian(v, p) == 0.0
-        assert mm_second_order_hessian(v, p) == 0.0
 
     def test_constant_zero_field(self):
         g = Grid2D(64, 64, 1 / 63)
@@ -115,47 +111,6 @@ class TestEdgeSetTerms:
         v = ScalarField.from_matrix(g, closed_form_profile(np.abs(x - 0.5) / p.eps))
         cost = mm_second_order_laplacian(v, p) / (ny * g.h)
         assert cost == pytest.approx(p.beta, rel=0.10)
-
-    def test_hessian_equals_laplacian_for_x_only_fields(self):
-        rng = np.random.default_rng(5)
-        g = Grid2D(32, 16, 1 / 31)
-        row = rng.random(32)
-        v = ScalarField.from_matrix(g, np.tile(row, (16, 1)))
-        p = params(model=ModelKind.SECOND_ORDER_LAPLACIAN)
-        a = mm_second_order_hessian(v, p)
-        b = mm_second_order_laplacian(v, p)
-        assert abs(a - b) < 1e-10 * max(1.0, abs(a))
-
-    def test_hessian_terms_against_dense_loops(self):
-        rng = np.random.default_rng(6)
-        g = Grid2D(16, 16, 1 / 15)
-        a = rng.random((16, 16))
-        v = ScalarField.from_matrix(g, a)
-        vxx, vxy, vyy = (c.reshape(16, 16) for c in hessian_terms(v))
-        h2 = g.h**2
-        for i in range(16):
-            for j in range(16):
-                jm, jp = max(j - 1, 0), min(j + 1, 15)
-                im, ip = max(i - 1, 0), min(i + 1, 15)
-                assert vxx[i, j] == pytest.approx((a[i, jp] - 2 * a[i, j] + a[i, jm]) / h2 if 0 < j < 15
-                                                  else (a[i, jp] + a[i, jm] - 2 * a[i, j]) / h2, abs=1e-10)
-                assert vyy[i, j] == pytest.approx((a[ip, j] - 2 * a[i, j] + a[im, j]) / h2 if 0 < i < 15
-                                                  else (a[ip, j] + a[im, j] - 2 * a[i, j]) / h2, abs=1e-10)
-                if i < 15 and j < 15:
-                    assert vxy[i, j] == pytest.approx(
-                        (a[i + 1, j + 1] - a[i + 1, j] - a[i, j + 1] + a[i, j]) / h2, abs=1e-10
-                    )
-                else:
-                    assert vxy[i, j] == 0.0
-
-    def test_laplacian_square_bounded_by_twice_hessian_square(self):
-        rng = np.random.default_rng(9)
-        g = Grid2D(20, 20, 1 / 19)
-        for _ in range(20):
-            v = ScalarField(g, rng.random(g.npoints))
-            lap2 = np.sum(laplacian(v).values ** 2) * g.h**2
-            hess2 = np.sum(hessian_sq(v)) * g.h**2
-            assert lap2 <= 2.0 * hess2 + 1e-10 * max(1.0, hess2)
 
 
 class TestTotalEnergy:

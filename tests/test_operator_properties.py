@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from atseg.energy import hessian_terms
 from atseg.grid import (
     Grid2D,
     ScalarField,
     VectorField2,
     bilaplacian,
+    bilaplacian_matrix,
+    difference_matrices,
     div_adjoint,
     dot,
     dot_vec,
@@ -72,8 +73,17 @@ def test_bilaplacian_form_is_the_squared_laplacian(case):
 
 @settings(max_examples=60, deadline=None)
 @given(grid_and_fields(1))
-def test_pure_second_derivatives_sum_to_the_laplacian(case):
+def test_hessian_penalty_is_the_laplacian_penalty(case):
+    # Dx = I (x) dx and Dy = dy (x) I commute, so the Gram form of the Hessian
+    # (v_xx, v_xy, v_yy) = (-Dx^T Dx v, Dy Dx v, -Dy^T Dy v) is L^2.  For a
+    # general h the two products round differently, so both sides are
+    # compared to within rounding.
     grid, (v,) = case
-    v = ScalarField(grid, v)
-    vxx, _, vyy = hessian_terms(v)
-    assert np.max(np.abs(vxx + vyy - laplacian(v).values)) <= RTOL * 8.0 / grid.h**2
+    Dx, Dy = difference_matrices(grid)
+    Dxx, Dxy, Dyy = -(Dx.T @ Dx), Dy @ Dx, -(Dy.T @ Dy)
+    gram = Dxx.T @ Dxx + 2.0 * (Dxy.T @ Dxy) + Dyy.T @ Dyy
+    l2 = (8.0 / grid.h**2) ** 2
+    assert abs(gram - bilaplacian_matrix(grid)).max() <= RTOL * l2
+    hess_sq = (Dxx @ v) ** 2 + 2.0 * (Dxy @ v) ** 2 + (Dyy @ v) ** 2
+    lv = laplacian(ScalarField(grid, v)).values
+    assert abs(grid.h**2 * (np.sum(hess_sq) - np.sum(lv * lv))) <= RTOL * bound(grid, l2)
