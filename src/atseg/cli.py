@@ -25,15 +25,15 @@ PROFILE_D_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
 def _add_model_flags(p: argparse.ArgumentParser, eps: bool = True) -> None:
     p.add_argument("--model", choices=[k.value for k in ModelKind], default=ModelParams.model.value,
                    help="first-order (at) or second-order (laplacian) edge penalty")
-    p.add_argument("--alpha", type=float, default=1e-2, help="gradient coupling weight")
+    p.add_argument("--alpha", type=float, default=1.0, help="gradient coupling weight")
     p.add_argument("--beta", type=float, default=0.3, help="edge-set weight")
-    p.add_argument("--gamma", type=float, default=1e-3, help="data fidelity weight")
+    p.add_argument("--gamma", type=float, default=70.0, help="data fidelity weight")
     if eps:  # sweep takes its eps values from --eps-list
         p.add_argument("--eps", type=float, default=3e-2, help="edge width parameter")
     p.add_argument("--eta", type=float, default=None,
                    help="gradient perturbation weight (default: eps^2)")
-    p.add_argument("--intensity-scale", type=float, default=255.0,
-                   help="intensity range alpha/gamma are quoted for (255 = 8-bit convention)")
+    p.add_argument("--intensity-scale", type=float, default=1.0,
+                   help="intensity range alpha/gamma are quoted for (1: the [0, 1] fields; 255: 8-bit)")
 
 
 def _add_run_flags(p: argparse.ArgumentParser, eps: bool = True) -> None:

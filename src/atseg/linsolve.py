@@ -381,6 +381,19 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(_dot(x, x))
 
 
+def _overflow(A: sp.csr_matrix, b: np.ndarray, value: float = 0.0) -> FloatingPointError | None:
+    """FloatingPointError for a failed solve of A x = b whose entries are all
+    finite, if value (the residual norm that failed it) is inf or NaN or the
+    squared entries sum past float64's range: an overflow, which
+    scipy.sparse's products and np.einsum's sums do not raise themselves.
+    None otherwise, as on an indefinite matrix or one holding inf or NaN.
+    Called only once a solve has failed."""
+    finite = np.all(np.isfinite(A.data)) and np.all(np.isfinite(b))
+    if finite and not math.isfinite(value + _dot(A.data, A.data) + _dot(b, b)):
+        return FloatingPointError("overflow in a linear solve of a system with finite entries")
+    return None
+
+
 def _cg(A, b: np.ndarray, x: np.ndarray, precond, stop: float, done: int, budget: int, weight=None):
     """Preconditioned CG on A x = b from a copy of x, with r = b - A x and a
     fresh direction, until the residual's squared norm falls below stop or
@@ -516,12 +529,14 @@ def solve(
     and ignores x0.  An x0 on another grid raises GridMismatchError either way.
 
     Both methods report the true residual ||b - A x|| / ||b|| and count as
-    converged (a bool) when it meets tol or lies within the rounding error of
-    evaluating b - A x: no float64 vector does better, and on stiff
-    fourth-order systems that floor lies above 1e-10.  An exactly singular
-    factor, a diagonal entry that is not positive (under CG, checked before
-    any division), a CG breakdown (r . M r or p . A p not positive, as on an
-    indefinite matrix) or a non-finite residual raises LinearSolveError.
+    converged (a bool) when it meets tol to within the rounding error of
+    evaluating b - A x: below that floor no float64 vector does better, and
+    within it the reduced residual a CG pass stops on and the full one can
+    fall on either side of tol.  An exactly singular factor, a diagonal
+    entry that is not positive (under CG, checked before any division), a
+    CG breakdown (r . M r or p . A p not positive, as on an indefinite
+    matrix) or a non-finite residual raises LinearSolveError, or
+    FloatingPointError where _overflow finds an overflow.
     """
     if not tol > 0:
         raise InvalidInputError("solver tolerance must be positive")
@@ -540,8 +555,8 @@ def solve(
     def judged(x: np.ndarray, iterations: int) -> SolveResult:
         res = _norm(b - A @ x) / scale
         if not math.isfinite(res):
-            raise LinearSolveError("matrix is not positive definite", residual=res, iterations=iterations)
-        converged = res <= tol or res <= _rounding_floor(A, x, b) / scale
+            raise _overflow(A, b, res) or LinearSolveError("matrix is not positive definite", res, iterations)
+        converged = res <= tol or res <= tol + _rounding_floor(A, x, b) / scale
         return SolveResult(ScalarField(sys.grid, x), res, iterations, bool(converged))
 
     if method == "direct":
@@ -578,7 +593,10 @@ def solve(
     budget = 10 * sys.grid.npoints if maxit is None else maxit
     done, last = 0, np.inf
     while True:  # restart from the iterate while its true residual misses tol
-        x, done = _cg(op, rhs, x, precond, (tol * bnorm) ** 2, done, budget, weight)
+        try:
+            x, done = _cg(op, rhs, x, precond, (tol * bnorm) ** 2, done, budget, weight)
+        except LinearSolveError as exc:
+            raise _overflow(A, b) or exc from None
         out = judged(x if full is None else full(x), done)
         if out.converged or done >= budget or not out.residual < last:
             return out

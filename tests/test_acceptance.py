@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.ndimage import distance_transform_edt
 
 from atseg.altmin import run
 from atseg.cli import main
@@ -32,7 +33,7 @@ from atseg.grid import (
     grad_forward,
     laplacian,
 )
-from atseg.imgio import read_history, read_pgm, write_history, write_pgm
+from atseg.imgio import read_f64, read_history, read_pgm, write_history, write_pgm
 from atseg.profile1d import SQRT2, discrete_transition_minimum, hermite_bridge_energy
 from atseg.synth import PhantomKind, PhantomSpec, generate
 
@@ -262,3 +263,24 @@ def test_criterion_10_bit_exact_io(tmp_path):
         blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert blobs[0] == blobs[1]
     note("10 bit-exact io", "1000 image round trips, exact history csv, identical reruns")
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("sigma", [0.1, 0.2])
+@pytest.mark.parametrize("kind", ["oned", "ellipse", "circles"])
+def test_default_invocation_segments(tmp_path, kind, sigma, n):
+    # `atseg segment` with no weight flags on synth's default phantoms: the
+    # edge field does not collapse, and every pixel on the boundary of the
+    # noise-free phantom lies within 2 px of {v < 0.5}.
+    img, out = tmp_path / "g.pgm", tmp_path / "out"
+    assert main(["synth", str(img), "--kind", kind, "--nx", str(n), "--ny", str(n),
+                 "--sigma", str(sigma), "--seed", "0"]) == 0
+    assert main(["segment", str(img), "--output-dir", str(out)]) == 0
+    low = read_f64((out / "v.f64").read_bytes()).as_matrix() < 0.5
+    clean = generate(PhantomSpec(PhantomKind(kind), nx=n, ny=n, noise_sigma=0.0))[0].as_matrix()
+    c = np.pad(clean, 1, mode="edge")
+    mid = c[1:-1, 1:-1]  # a boundary pixel differs from one of its four neighbours
+    boundary = (mid != c[:-2, 1:-1]) | (mid != c[2:, 1:-1]) | (mid != c[1:-1, :-2]) | (mid != c[1:-1, 2:])
+    assert low.mean() < 0.5
+    assert distance_transform_edt(~low)[boundary].max() <= 2.0
+    note("default invocation", f"{kind} sigma={sigma} {n}^2: v < 0.5 on {low.mean():.1%}")

@@ -22,6 +22,11 @@ def write_constant_pgm(path, value=0.5, n=16):
     path.write_bytes(data)
 
 
+# The usual weights quoted for 8-bit data (alpha_u = 650, gamma_u = 65): they
+# collapse the edge field of a noisy phantom.
+OLD_DEFAULTS = ("--alpha", "1e-2", "--gamma", "1e-3", "--intensity-scale", "255")
+
+
 def synth_phantom(tmp_path, name="g.pgm", **flags):
     path = tmp_path / name
     args = ["synth", str(path)]
@@ -53,7 +58,7 @@ class TestSegment:
         img = synth_phantom(tmp_path, kind="oned", nx=48, ny=48, sigma=0)
         out = tmp_path / "out"
         rc = main(["segment", str(img), "--output-dir", str(out),
-                   "--model", "at", "--alpha", "1e-2", "--gamma", "1e-3", "--eps", "3e-2"])
+                   "--model", "at", "--alpha", "1e-2", "--gamma", "1e-3", "--intensity-scale", "255", "--eps", "3e-2"])
         assert rc == 0
         v = read_pgm((out / "v.pgm").read_bytes()).as_matrix()
         assert v[:, 22:26].min() < 0.5  # dark band near the central edge
@@ -171,13 +176,13 @@ class TestSegment:
 
     @pytest.mark.parametrize(
         "flags, reported",
-        [(["--model", "laplacian"], True), (["--model", "at"], True),
+        [(["--model", "laplacian", *OLD_DEFAULTS], True), (["--model", "at", *OLD_DEFAULTS], True),
          (["--model", "laplacian", "--intensity-scale", "1", "--alpha", "0.1", "--gamma", "100"], False),
          (["--model", "at", "--intensity-scale", "1", "--alpha", "1", "--gamma", "100"], False)],
         ids=["laplacian-defaults", "at-defaults", "laplacian-readme", "at-segmenting"],
     )
     def test_collapsed_edge_field_is_reported(self, tmp_path, capsys, flags, reported):
-        # On the quickstart phantom the default weights leave v < 0.5 on 100%
+        # On the quickstart phantom OLD_DEFAULTS leave v < 0.5 on 100%
         # (laplacian) and 98% (at) of the pixels; weights that segment, on
         # 12% and 8%.
         img = synth_phantom(tmp_path, kind="circles", nx=32, ny=32, sigma=0.1, seed=7)
@@ -324,7 +329,8 @@ class TestSweep:
     def test_each_eps_gets_its_own_default_eta(self, tmp_path):
         img = synth_phantom(tmp_path, kind="oned", nx=32, ny=8, sigma=0)
         out = tmp_path / "sweep.csv"
-        rc = main(["sweep", str(img), "--eps-list", "0.08,0.04", "--output", str(out), "--solver", "direct"])
+        rc = main(["sweep", str(img), "--eps-list", "0.08,0.04", "--output", str(out), "--solver", "direct",
+                   *OLD_DEFAULTS])
         assert rc == 0
         g = read_pgm(img.read_bytes())
         for row in out.read_text().strip().splitlines()[1:]:
@@ -412,7 +418,7 @@ class TestEnergy:
         write_constant_pgm(img)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["energy", str(img), "--alpha", "1e306"]) == 1
+            assert main(["energy", str(img), *OLD_DEFAULTS, "--alpha", "1e306"]) == 1
         assert "error: alpha * intensity_scale**2 must be positive and finite" in capsys.readouterr().err
 
 
@@ -423,12 +429,19 @@ class TestEnergy:
         (["--intensity-scale", "1", "--gamma", "1e300"], 1),
         (["--eps", "1e-300"], 1),
         (["--eps", "1e-300", "--solver", "direct"], 0),
+        (["--intensity-scale", "1", "--gamma", "1e300", "--solver", "direct"], 1),
+        (["--intensity-scale", "1", "--alpha", "1e300", "--gamma", "1e-3"], 1),
+        (["--intensity-scale", "1", "--alpha", "1e300", "--gamma", "1e-3", "--model", "laplacian"], 1),
     ],
-    ids=["alpha", "gamma", "eps", "eps-direct"],
+    ids=["alpha", "gamma", "eps", "eps-direct", "gamma-direct", "alpha-small-gamma", "alpha-laplacian"],
 )
 def test_overflow_in_a_solve_is_an_error(tmp_path, capsys, flags, status):
     # finite weights whose system entries overflow: an error, not a warning.
     # eps = 1e-300 overflows only inside CG's products, so direct still segments.
+    # The last three have finite entries whose squares overflow, which neither
+    # scipy.sparse's products nor the solver's sums report: the residual norm
+    # of the direct and laplacian solves is inf, and CG on the at model's
+    # image system breaks down.
     img = synth_phantom(tmp_path, kind="circles", nx=32, ny=32, sigma=0.1, seed=7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -347,6 +347,28 @@ class TestCGRestart:
         assert len(calls) == 2 and r.iterations == 0
 
 
+    def test_a_near_miss_within_rounding_converges(self):
+        # The reduced residual a pass stops on and the full residual solve
+        # judges are two roundings of one quantity.  With tol between them the
+        # pass makes no iteration and a restart gains nothing, so a residual
+        # within the rounding floor of tol counts as converged, not as a stall.
+        g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=32, ny=32, noise_sigma=0.1, seed=0))
+        v = ScalarField(g.grid, np.random.default_rng(0).random(g.grid.npoints))
+        sys = assemble_u_system(v, g, ModelParams(alpha=4.0, beta=0.3, gamma=25.0, eps=3e-2, intensity_scale=1.0))
+        A, b = sys.matrix, sys.rhs.values
+        bnorm = np.sqrt(np.einsum("i,i->", b, b))
+        floor = linsolve._rounding_floor(A, solve(sys, tol=1e-15).field.values, b) / bnorm
+        x0 = solve(sys, tol=2 * floor)
+        op, rhs, y, weight, _ = linsolve._reduced(A, b, x0.field.values, A.diagonal(),
+                                                  linsolve.red_black_split(g.grid))
+        r = rhs - op @ y
+        reduced = np.sqrt(np.einsum("i,i->", r, weight * r)) / bnorm
+        assert reduced < x0.residual
+        tol = 0.5 * (reduced + x0.residual)
+        out = solve(sys, tol=tol, x0=x0.field)
+        assert out.converged and out.iterations == 0 and out.residual > tol
+
+
 def system_of(kind, g):
     if kind == "u":
         return assemble_u_system(ScalarField.constant(g.grid, 1.0), g, params())
