@@ -346,7 +346,6 @@ class TestCGRestart:
         assert not r.converged and r.residual == norm(b - A @ x) / norm(b)
         assert len(calls) == 2 and r.iterations == 0
 
-
     def test_a_near_miss_within_rounding_converges(self):
         # The reduced residual a pass stops on and the full residual solve
         # judges are two roundings of one quantity.  With tol between them the
