@@ -43,18 +43,28 @@ from .linsolve import (
     solve,
 )
 
-# Inner CG tolerance while the outer loop is far from its stop, i.e. while
-# the last indicator e_k is at least TIGHTEN * tol; below that, on the
-# iteration maxit and under "direct", solves run to solver_tol.  Measured
-# with the depth-2 Anderson fit on the benchmark's noisy-cg and noisy-default
-# (128x128 seed-12 sigma=0.1 circles; 10-15 alternating in-process pairs on a
-# 2-core VM): 1e-5 took 13% less wall time than 1e-6, but 71 outer iterations
-# on noisy-default (1e-6: 70, and 75 with the secant step; solver_tol
-# throughout: 69), and on the 256x256 `at` phantom with alpha_u=1,
-# gamma_u=100 it moved the final energy by 2.6e-11 relative (1e-6: 3e-14).
-# TIGHTEN = 100 took 14% more inner iterations on noisy-cg and 9% more on
-# noisy-default, and was slower on noisy-cg in 9 of 10 pairs.
-LOOSE_TOL = 1e-6
+# Forcing term of the inner CG solves (Eisenstat & Walker, SIAM J. Sci.
+# Comput. 17(1), 1996), driven by the indicator: an iteration that follows
+# one with e_k >= TIGHTEN * tol solves to max(FORCING * min(1, e_k),
+# solver_tol), so the first (e_0 = inf) solves to FORCING, and under the
+# default tol every such tolerance lies in [3e-6, 3e-3].  Other iterations,
+# the iteration maxit and every "direct" solve run to solver_tol.  Measured
+# against a fixed 1e-6 on 28 CG cells (the 12-cell gate of ROADMAP item 1
+# with both models at 1/70, seed 0, and the noisy-cg weights at 128x128 and
+# 256x256 with both models, seed 12), summed over the cells on a shared
+# 2-vCPU VM, with energy change and masks taken against the fixed 1e-6:
+#
+#   FORCING     inner its   time    outer its   max rel. energy change   masks
+#   1e-6 fixed    101 919   27.8 s       1558   -                        -
+#   1e-3           50 656   19.9 s       1569   1.9e-9                   identical
+#   3e-3           40 371   18.3 s       1587   4.7e-10                  identical
+#   1e-2           30 223   16.6 s       1615   4.3e-9                   identical
+#
+# 1e-2 took the benchmark's noisy-cg to 9 outer iterations (3e-3: 8) and
+# noisy-default to 26 (3e-3: 23).  TIGHTEN = 100 took 14% more inner
+# iterations than 10 under the fixed 1e-6; with the forcing term, 3 and 1 took
+# noisy-cg to 9 outer iterations and were slower.
+FORCING = 3e-3
 TIGHTEN = 10.0
 
 
@@ -151,16 +161,16 @@ def run(
 
     Each inner solve runs linsolve.solve with method=solver ("cg", warm-started
     from the previous iterate, or "direct", the exact reference for CG).
-    Direct solves run to relative residual solver_tol.  CG solves run to
-    max(LOOSE_TOL, solver_tol), and to solver_tol on iteration maxit and on
-    any iteration after one whose e_k fell below TIGHTEN * tol.  The stop
-    test e_k < tol counts only on an iteration whose solves ran at, or
-    reported a true residual within, solver_tol, so solver_tol is the
-    accuracy of the last recorded state of a converged run, and of any run
-    that reaches maxit.  The loop takes the secant step of the module
-    docstring whenever its weight gamma is below 1/2, with no option to turn
-    it off: an extrapolated start costs one energy evaluation, and one more
-    v-solve if the energy check rejects it.
+    Direct solves run to relative residual solver_tol.  CG solves on
+    iteration k+1 run to max(FORCING * min(1, e_k), solver_tol), with e_0 =
+    inf, and to solver_tol on iteration maxit and on any iteration after one
+    whose e_k fell below TIGHTEN * tol.  The stop test e_k < tol counts only
+    on an iteration whose solves ran at, or reported a true residual within,
+    solver_tol, so solver_tol is the accuracy of the last recorded state of a
+    converged run, and of any run that reaches maxit.  The loop takes the
+    secant step of the module docstring whenever its weight gamma is below
+    1/2, with no option to turn it off: an extrapolated start costs one
+    energy evaluation, and one more v-solve if the energy check rejects it.
 
     e_k compares consecutive recorded iterates, (u_k, v_k) against
     (u_k-1, v_k-1), whichever start iteration k took: it is the larger of the
@@ -194,7 +204,7 @@ def run(
     e_k = np.inf  # the indicator of the last iteration
     for k in range(1, maxit + 1):
         tight = solver == "direct" or k == maxit or e_k < TIGHTEN * tol
-        eta = solver_tol if tight else max(LOOSE_TOL, solver_tol)
+        eta = solver_tol if tight else max(FORCING * min(1.0, e_k), solver_tol)
         v_res = _solved(solve(assemble_v(s, params), tol=eta, method=solver, x0=v), "edge-field", k)
         if s is not u and total_energy(s, v_res.field, g, params).total > entries[-1].breakdown.total:
             prev, s = None, u  # the extrapolation raised the energy: drop it

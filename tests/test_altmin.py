@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -255,11 +257,12 @@ class TestExtrapolation:
         assert all(b <= a + slack for a, b in zip(totals, totals[1:]))
 
 
-SOLVER_TOL = 1e-10  # run's default solver_tol
+TOL, SOLVER_TOL = 1e-4, 1e-10  # run's default tol and solver_tol
 # Summed inner iterations of the 64x64 runs below, CG: with every solve at
 # SOLVER_TOL they took 1564 (`at`) and 1168 (`laplacian`); with loose solves
-# until the outer loop nears its stop, 738 and 603.
-INNER_ITERATIONS_BOUND = {ModelKind.FIRST_ORDER_AT: 1000, ModelKind.SECOND_ORDER_LAPLACIAN: 850}
+# at a fixed 1e-6 until the outer loop nears its stop, 738 and 603; with the
+# forcing term max(FORCING min(1, e_k), SOLVER_TOL) in their place, 492 and 315.
+INNER_ITERATIONS_BOUND = {ModelKind.FIRST_ORDER_AT: 600, ModelKind.SECOND_ORDER_LAPLACIAN: 450}
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +294,22 @@ class TestInexactInnerSolves:
         assert calls[0][0] > SOLVER_TOL
         # the last two solves are the recorded state's v and u half-steps
         assert all(tol == SOLVER_TOL or residual <= SOLVER_TOL for tol, residual, _ in calls[-2:])
+
+    def test_loose_tolerance_follows_the_indicator(self, recorded_runs, model):
+        res, calls = recorded_runs[model, "cg"]
+        e_prev = [np.inf] + [entry.e_k for entry in res.report.entries[:-1]]
+        want = [
+            SOLVER_TOL if e < altmin.TIGHTEN * TOL else max(altmin.FORCING * min(1.0, e), SOLVER_TOL)
+            for e in e_prev
+        ]
+        tols = [tol for tol, _, _ in calls]
+        assert tols[0] == altmin.FORCING
+        # An iteration makes two solves at one tolerance, or three if it redoes
+        # its v half-step: match runs of equal tolerances, iterations to solves.
+        got_runs = [(tol, len(list(group))) for tol, group in groupby(tols)]
+        want_runs = [(tol, len(list(group))) for tol, group in groupby(want)]
+        assert [tol for tol, _ in got_runs] == [tol for tol, _ in want_runs]
+        assert all(2 * m <= n <= 3 * m for (_, n), (_, m) in zip(got_runs, want_runs))
 
     def test_direct_solves_at_solver_tol(self, recorded_runs, model):
         res, calls = recorded_runs[model, "direct"]
