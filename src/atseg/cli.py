@@ -43,7 +43,7 @@ def _add_run_flags(p: argparse.ArgumentParser, eps: bool = True) -> None:
     p.add_argument("--tol", type=float, default=1e-4, help="stop when e_k drops below this")
     p.add_argument("--maxit", type=int, default=500, help="outer iteration cap")
     p.add_argument("--solver", choices=linsolve.SOLVER_METHODS, default=linsolve.SOLVER_METHODS[0],
-                   help="inner linear solver: preconditioned CG, or exact sparse LU (the reference for CG)")
+                   help="inner linear solver: preconditioned CG, or an exact SPD factorization (CG's reference)")
 
 
 def _params(args, eps: float) -> ModelParams:

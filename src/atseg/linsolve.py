@@ -23,7 +23,10 @@ and the red values are back-substituted.  That takes half the iterations
 of Jacobi-CG on the whole grid, on vectors half as long.  Every other
 matrix (the fourth-order v-system, whose condition number grows like h^-4)
 takes CG preconditioned by a symmetric geometric multigrid V-cycle.
-Sparse LU on request solves exactly; the tests compare CG against it.
+On request a sparse factorization solves exactly, and the tests compare CG
+against it: every system is SPD, so it is factored with one fill-reducing
+ordering applied to rows and columns alike and diagonal pivots, with no
+row interchanges.
 The V-cycle smooths with a Chebyshev polynomial in the l1-scaled operator,
 applied as l1-Jacobi sweeps damped by the inverses of its roots, which
 removes more error per product with the matrix than undamped sweeps do and
@@ -381,15 +384,14 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(_dot(x, x))
 
 
-def _overflow(A: sp.csr_matrix, b: np.ndarray, value: float = 0.0) -> FloatingPointError | None:
+def _overflow(A: sp.csr_matrix, b: np.ndarray) -> FloatingPointError | None:
     """FloatingPointError for a failed solve of A x = b whose entries are all
-    finite, if value (the residual norm that failed it) is inf or NaN or the
-    squared entries sum past float64's range: an overflow, which
+    finite, if their squares sum past float64's range: an overflow, which
     scipy.sparse's products and np.einsum's sums do not raise themselves.
     None otherwise, as on an indefinite matrix or one holding inf or NaN.
     Called only once a solve has failed."""
     finite = np.all(np.isfinite(A.data)) and np.all(np.isfinite(b))
-    if finite and not math.isfinite(value + _dot(A.data, A.data) + _dot(b, b)):
+    if finite and not math.isfinite(_dot(A.data, A.data) + _dot(b, b)):
         return FloatingPointError("overflow in a linear solve of a system with finite entries")
     return None
 
@@ -525,8 +527,12 @@ def solve(
     b = 0 returns x = 0.  An assembler hands over the cached pattern it
     wrote the matrix on, and the diagonal and split are read from positions
     cached with it; for any other matrix they are computed.
-    method "direct" uses a sparse LU factorization and one refinement step,
-    and ignores x0.  An x0 on another grid raises GridMismatchError either way.
+    method "direct" factors A with SuperLU, ordered by minimum degree on
+    A^T + A applied symmetrically, taking each pivot on the diagonal: no
+    row interchanges, which is stable on an SPD matrix, and on the
+    fourth-order systems faster and sparser than a row search.  One
+    refinement step follows; x0 is ignored.  An x0 on another grid raises
+    GridMismatchError either way.
 
     Both methods report the true residual ||b - A x|| / ||b|| and count as
     converged (a bool) when it meets tol to within the rounding error of
@@ -536,7 +542,9 @@ def solve(
     entry that is not positive (under CG, checked before any division), a
     CG breakdown (r . M r or p . A p not positive, as on an indefinite
     matrix) or a non-finite residual raises LinearSolveError, or
-    FloatingPointError where _overflow finds an overflow.
+    FloatingPointError where the system's entries are too large to square
+    (_overflow).  So a matrix that is not SPD, whose diagonal pivots can be
+    tiny, either raises or comes back with its true residual as the verdict.
     """
     if not tol > 0:
         raise InvalidInputError("solver tolerance must be positive")
@@ -555,7 +563,7 @@ def solve(
     def judged(x: np.ndarray, iterations: int) -> SolveResult:
         res = _norm(b - A @ x) / scale
         if not math.isfinite(res):
-            raise _overflow(A, b, res) or LinearSolveError("matrix is not positive definite", res, iterations)
+            raise _overflow(A, b) or LinearSolveError("matrix is not positive definite", res, iterations)
         converged = res <= tol or res <= tol + _rounding_floor(A, x, b) / scale
         return SolveResult(ScalarField(sys.grid, x), res, iterations, bool(converged))
 
@@ -566,7 +574,7 @@ def solve(
         Ac = A.tocsc(copy=True)
         Ac.eliminate_zeros()
         try:
-            lu = splu(Ac, permc_spec="MMD_AT_PLUS_A")
+            lu = splu(Ac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise LinearSolveError(f"direct solve failed: {exc}") from None
         del Ac

@@ -4,6 +4,9 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse.linalg import LinearOperator, cg, spsolve
 
 from atseg import altmin, linsolve
@@ -716,6 +719,64 @@ class TestDirectConvergence:
         r = solve(sys, tol=1e-10, method="direct")
         assert 1e-10 < r.residual < 1e-6
         assert not r.converged
+
+
+class TestDirectFactorization:
+    @pytest.mark.parametrize("kind", ["u", "first-order-v", "second-order-v", "second-order-v-dirichlet1"])
+    def test_spd_systems_factor_without_row_interchanges(self, monkeypatch, kind):
+        # Every assembled system is SPD, so the factorization takes diagonal
+        # pivots in one fill-reducing order applied to rows and columns alike:
+        # perm_r == perm_c.  At eps = 0.06 on 64^2 the fourth-order systems are
+        # far from diagonally dominant, and a row search swaps rows there.
+        g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=64, ny=64, noise_sigma=0.1, seed=3))
+        p = functools.partial(params, eps=0.06, intensity_scale=1.0)
+        if kind == "u":
+            sys = assemble_u_system(ScalarField.constant(g.grid, 1.0), g, p())
+        elif kind == "first-order-v":
+            sys = assemble_v_system_first_order(g, p())
+        else:
+            bc = BoundaryKind.DIRICHLET_ONE if kind.endswith("dirichlet1") else BoundaryKind.NEUMANN
+            sys = assemble_v_system_second_order(g, p(model=ModelKind.SECOND_ORDER_LAPLACIAN, bc=bc))
+        factors = []
+        splu = linsolve.splu
+        monkeypatch.setattr(linsolve, "splu", lambda A, **kw: factors.append(splu(A, **kw)) or factors[-1])
+        first, again = (solve(sys, tol=1e-10, method="direct") for _ in range(2))
+        assert len(factors) == 2 and first.converged
+        for lu in factors:
+            assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert np.array_equal(first.field.values, again.field.values)
+        assert first.residual == again.residual
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        offdiag=arrays(np.float64, (9, 9), elements=st.sampled_from([0.0, 0.0, -1.0, 0.5, 1.0, 1e-3])),
+        diag=arrays(np.float64, 9, elements=st.sampled_from([-1.0, -1e-12, 0.0, 1e-300, 1e-12, 1.0, 2.0])),
+        b=arrays(np.float64, 9, elements=st.integers(-4, 4).map(float)),
+        tol=st.sampled_from([1e-14, 1e-10, 1e-6]),
+    )
+    @example(offdiag=np.full((9, 9), -1.0), diag=np.full(9, 1e-300), b=np.ones(9), tol=1e-10)
+    def test_verdict_on_symmetric_matrices_that_are_not_spd(self, offdiag, diag, b, tol):
+        # Without a row search, a matrix that is not SPD can meet a tiny or
+        # zero pivot.  The solve must then raise, or report the true residual
+        # of what it returns and call it converged only if that meets tol to
+        # within the rounding of b - A x.  In the explicit example the first
+        # pivot, 1e-300, overflows the factor of a matrix with entries of 1:
+        # that is indefiniteness (LinearSolveError), not an overflow of the
+        # system's entries (FloatingPointError).
+        grid = Grid2D(3, 3, 0.5)
+        upper = np.triu(offdiag, 1)
+        A = sp.csr_matrix(upper + upper.T + np.diag(diag))
+        if not np.any(b):
+            b[0] = 1.0
+        try:
+            r = solve(LinearSystem(A, ScalarField(grid, b)), tol=tol, method="direct")
+        except LinearSolveError:
+            return
+        x = r.field.values
+        scale = np.linalg.norm(b)
+        assert r.residual == pytest.approx(np.linalg.norm(b - A @ x) / scale, rel=1e-12)
+        floor = linsolve._rounding_floor(A, x, b) / scale
+        assert r.converged == (r.residual <= tol or r.residual <= tol + floor)
 
 
 @pytest.mark.parametrize("eta", [0.0, None])
