@@ -4,12 +4,20 @@ Each outer iteration solves the two SPD systems in the order the scheme is
 defined (v first, then u), records the relative-change indicator and the full
 energy breakdown, and stops once the indicator drops below the tolerance.
 Each half-step lowers its exact discrete energy at any inner tolerance: a
-direct solve minimizes it, and a CG solve warm-started from the current
+factorization minimizes it, and a CG solve warm-started from the current
 iterate minimizes it over a Krylov space around that iterate (the reduced
 solve's red values are the exact minimizers given its black ones).  So
 inner CG solves run loose while the loop is far from its stop, and to the
 full solver tolerance near it; the stop test counts only on an iteration
 solved to that tolerance, which the last recorded state then meets.
+Under the direct solver every half-step runs to the solver tolerance, and
+a run holds one factorization per system kind, made by its first solve of
+that kind.  Each later solve runs CG preconditioned by it from the current
+iterate, which lowers the energy as any warm-started CG solve does, and
+factors its own matrix, whose factor then takes the old one's place, only
+if that CG fails (the chord method's reuse of one factorization across
+steps; Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+1995).
 
 An iteration from u is the fixed-point map G(u) = U(V(u)), the v half-step
 at u and then the u half-step at that v; u is the whole state, since v is a
@@ -34,6 +42,7 @@ from .energy import EnergyBreakdown, ModelKind, ModelParams, total_energy
 from .errors import DegenerateInputError, InvalidInputError, LinearSolveError, require_count
 from .grid import ScalarField, same_grid
 from .linsolve import (
+    FactorSlot,
     SolveResult,
     assemble_u_system,
     assemble_v_system_first_order,
@@ -159,8 +168,11 @@ def run(
 ) -> SegmentationResult:
     """Alternate the v and u half-steps from u = g, v = 1 until e_k < tol.
 
-    Each inner solve runs linsolve.solve with method=solver ("cg", warm-started
-    from the previous iterate, or "direct", the exact reference for CG).
+    Each inner solve runs linsolve.solve with method=solver, warm-started
+    from the previous iterate: "cg", or "direct", which holds one
+    factorization per system kind (v and u) for the run and reuses it as
+    CG's preconditioner while that converges within
+    linsolve.REUSE_ITERATIONS iterations, factoring afresh otherwise.
     Direct solves run to relative residual solver_tol.  CG solves on
     iteration k+1 run to max(FORCING * min(1, e_k), solver_tol), with e_0 =
     inf, and to solver_tol on iteration maxit and on any iteration after one
@@ -197,6 +209,8 @@ def run(
         else assemble_v_system_second_order
     )
 
+    # The direct solver's factors, one per system kind (CG ignores them).
+    v_lu, u_lu = FactorSlot(), FactorSlot()
     entries: list[IterationEntry] = []
     converged = False
     prev = None  # (G(s), G(s) - s) of the last iteration's start s
@@ -205,12 +219,14 @@ def run(
     for k in range(1, maxit + 1):
         tight = solver == "direct" or k == maxit or e_k < TIGHTEN * tol
         eta = solver_tol if tight else max(FORCING * min(1.0, e_k), solver_tol)
-        v_res = _solved(solve(assemble_v(s, params), tol=eta, method=solver, x0=v), "edge-field", k)
+        v_res = _solved(solve(assemble_v(s, params), tol=eta, method=solver, x0=v, factor=v_lu), "edge-field", k)
         if s is not u and total_energy(s, v_res.field, g, params).total > entries[-1].breakdown.total:
             prev, s = None, u  # the extrapolation raised the energy: drop it
-            v_res = _solved(solve(assemble_v(s, params), tol=eta, method=solver, x0=v), "edge-field", k)
+            v_res = _solved(solve(assemble_v(s, params), tol=eta, method=solver, x0=v, factor=v_lu), "edge-field", k)
         v_new = v_res.field
-        u_res = _solved(solve(assemble_u_system(v_new, g, params), tol=eta, method=solver, x0=s), "image", k)
+        u_res = _solved(
+            solve(assemble_u_system(v_new, g, params), tol=eta, method=solver, x0=s, factor=u_lu), "image", k
+        )
         u_new = u_res.field
         # the stop test may pass only on a state solved to solver_tol
         exact = eta <= solver_tol or max(v_res.residual, u_res.residual) <= solver_tol

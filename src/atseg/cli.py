@@ -43,7 +43,8 @@ def _add_run_flags(p: argparse.ArgumentParser, eps: bool = True) -> None:
     p.add_argument("--tol", type=float, default=1e-4, help="stop when e_k drops below this")
     p.add_argument("--maxit", type=int, default=500, help="outer iteration cap")
     p.add_argument("--solver", choices=linsolve.SOLVER_METHODS, default=linsolve.SOLVER_METHODS[0],
-                   help="inner linear solver: preconditioned CG, or an exact SPD factorization (CG's reference)")
+                   help="inner linear solver: preconditioned CG, or an SPD factorization per system kind, reused "
+                        f"as CG's preconditioner while that converges in {linsolve.REUSE_ITERATIONS} iterations")
 
 
 def _params(args, eps: float) -> ModelParams:

@@ -23,10 +23,13 @@ and the red values are back-substituted.  That takes half the iterations
 of Jacobi-CG on the whole grid, on vectors half as long.  Every other
 matrix (the fourth-order v-system, whose condition number grows like h^-4)
 takes CG preconditioned by a symmetric geometric multigrid V-cycle.
-On request a sparse factorization solves exactly, and the tests compare CG
-against it: every system is SPD, so it is factored with one fill-reducing
-ordering applied to rows and columns alike and diagonal pivots, with no
-row interchanges.
+On request a sparse factorization solves instead: every system is SPD, so
+it is factored with one fill-reducing ordering applied to rows and columns
+alike and diagonal pivots, with no row interchanges.  A lone direct solve
+is exact, and the tests compare CG against it.  Handed a FactorSlot that
+holds the factor of an earlier system of the same kind, a direct solve
+first runs CG preconditioned by that factor, and factors its own matrix
+only if that misses tol within REUSE_ITERATIONS iterations.
 The V-cycle smooths with a Chebyshev polynomial in the l1-scaled operator,
 applied as l1-Jacobi sweeps damped by the inverses of its roots, which
 removes more error per product with the matrix than undamped sweeps do and
@@ -46,7 +49,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -95,6 +98,17 @@ class SolveResult:
     residual: float
     iterations: int
     converged: bool
+
+
+@dataclass
+class FactorSlot:
+    """At most one sparse factorization, which solve(method="direct") reuses
+    on later systems of the kind it was made for.  solve empties the slot
+    before it factors, so an old factor and its successor are never alive
+    together; a caller keeps one slot per system kind, for as long as those
+    systems stay close (altmin.run: one run)."""
+
+    lu: object = None
 
 
 @functools.lru_cache(maxsize=16)
@@ -483,6 +497,20 @@ def _reduced(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray, diag: np.ndarray, s
     return _ScaledSchur(C, Ct), s_k * b[split.black] - Ct @ (s_r * b_r), x[split.black] / s_k, d_k, full
 
 
+def _restarted(op, rhs, x, precond, weight, full, stop: float, budget: int, judged) -> SolveResult:
+    """CG passes (_cg) on op y = rhs from x, each restarted from the last
+    pass's iterate, until judged, on the field full(y) (y when full is None),
+    converges, the count reaches budget, or a pass lowers the true residual
+    no further.  Returns the last verdict."""
+    done, last = 0, np.inf
+    while True:
+        x, done = _cg(op, rhs, x, precond, stop, done, budget, weight)
+        out = judged(x if full is None else full(x), done)
+        if out.converged or done >= budget or not out.residual < last:
+            return out
+        last = out.residual
+
+
 def splu(A: sp.csc_matrix, **options):
     """scipy's sparse LU of A, imported on the first factorization: only
     method "direct" factors, and scipy.sparse.linalg would otherwise load in
@@ -495,6 +523,19 @@ def splu(A: sp.csc_matrix, **options):
 # The methods solve takes, its default first; the CLI's --solver choices.
 SOLVER_METHODS = ("cg", "direct")
 
+# CG iterations a direct solve spends with a held factor as preconditioner
+# before it factors its own matrix.  Within one eps of the benchmark's sweep
+# (laplacian, 128^2 strip) such solves take 2-5 iterations to 1e-10; a factor
+# carried over from the eps before would take 25-100 at the first solves of
+# the next, so each run holds its own.  Factorizations with a budget of 5/10/20
+# on 128^2 circles under --solver direct (factoring every solve, in
+# brackets): clean, laplacian 4/3/2 (12); sigma 0.1, laplacian at alpha 0.1,
+# gamma 100: 9/8/5 (16), the same with --bc dirichlet1 9/8/6 (16), and at at
+# the default weights 33/19/12 (51).  Sweep makes 6 (20) at all three.  Every
+# budget kept the outer iterations and masks of factoring every solve, and in
+# single runs neither 5 nor 20 was faster than 10 on every case.
+REUSE_ITERATIONS = 10
+
 
 def solve(
     sys: LinearSystem,
@@ -502,6 +543,7 @@ def solve(
     maxit: int | None = None,
     method: str = "cg",
     x0: ScalarField | None = None,
+    factor: FactorSlot | None = None,
 ) -> SolveResult:
     """Solve an SPD system to relative residual <= tol.
 
@@ -531,8 +573,19 @@ def solve(
     A^T + A applied symmetrically, taking each pivot on the diagonal: no
     row interchanges, which is stable on an SPD matrix, and on the
     fourth-order systems faster and sparser than a row search.  One
-    refinement step follows; x0 is ignored.  An x0 on another grid raises
+    refinement step follows, and iterations is 1.  If factor holds the
+    factor of an earlier, nearby system, the solve first runs the CG passes
+    above on A from x0 (zero when None), preconditioned by that factor, with
+    at most REUSE_ITERATIONS iterations in all and maxit unused, and returns
+    their result if it converges.  If it does not, or CG breaks down, the
+    slot is emptied, A is factored as above, which gives the field of a
+    solve without a slot bit for bit, and the new factor goes into the slot
+    (as it does into an empty one).  Without a slot x0 is ignored, and
+    method "cg" ignores factor.  An x0 on another grid raises
     GridMismatchError either way.
+
+    A nonzero b whose squares all underflow, so that ||b|| reads 0, is
+    solved as b / max|b|, and the field scaled back.
 
     Both methods report the true residual ||b - A x|| / ||b|| and count as
     converged (a bool) when it meets tol to within the rounding error of
@@ -558,6 +611,11 @@ def solve(
     A = sys.matrix.tocsr()
     b = sys.rhs.values
     bnorm = _norm(b)
+    if bnorm == 0 and np.any(b):
+        m = float(np.max(np.abs(b)))
+        scaled = replace(sys, rhs=ScalarField(sys.grid, b / m))
+        out = solve(scaled, tol, maxit, method, None if x0 is None else ScalarField(sys.grid, x0.values / m), factor)
+        return replace(out, field=ScalarField(sys.grid, m * out.field.values))
     scale = bnorm if bnorm > 0 else 1.0
 
     def judged(x: np.ndarray, iterations: int) -> SolveResult:
@@ -568,13 +626,26 @@ def solve(
         return SolveResult(ScalarField(sys.grid, x), res, iterations, bool(converged))
 
     if method == "direct":
+        if factor is not None and factor.lu is not None and bnorm > 0:
+            x = np.zeros_like(b) if x0 is None else x0.values
+            try:
+                out = _restarted(A, b, x, factor.lu.solve, None, None, (tol * bnorm) ** 2, REUSE_ITERATIONS, judged)
+            except LinearSolveError:  # a breakdown: the factor is too far from A's
+                out = None
+            if out is not None and out.converged:
+                return out
+            factor.lu = None
         # Factor without the explicit zeros a shared pattern can hold (they
         # would only add fill), and free that copy once factored: kept to the
-        # end of the solve, it raised a sweep's peak RSS by 6 MiB.
+        # end of the solve, it raised a sweep's peak RSS by 6 MiB.  Panels of
+        # 4 columns, not SuperLU's 10, factor sweep's systems faster and keep
+        # its peak RSS where it was with no factor held across solves.
         Ac = A.tocsc(copy=True)
         Ac.eliminate_zeros()
         try:
-            lu = splu(Ac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+            lu = splu(
+                Ac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, panel_size=4, options=dict(SymmetricMode=True)
+            )
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise LinearSolveError(f"direct solve failed: {exc}") from None
         del Ac
@@ -582,6 +653,8 @@ def solve(
         r = b - A @ x
         if _norm(r) / scale > tol:  # one step of iterative refinement
             x = x + lu.solve(r)
+        if factor is not None:
+            factor.lu = lu
         return judged(x, 1)
 
     if bnorm == 0:
@@ -599,13 +672,7 @@ def solve(
     else:
         precond, (op, rhs, x, weight, full) = None, _reduced(A, b, x, diag, split)
     budget = 10 * sys.grid.npoints if maxit is None else maxit
-    done, last = 0, np.inf
-    while True:  # restart from the iterate while its true residual misses tol
-        try:
-            x, done = _cg(op, rhs, x, precond, (tol * bnorm) ** 2, done, budget, weight)
-        except LinearSolveError as exc:
-            raise _overflow(A, b) or exc from None
-        out = judged(x if full is None else full(x), done)
-        if out.converged or done >= budget or not out.residual < last:
-            return out
-        last = out.residual
+    try:
+        return _restarted(op, rhs, x, precond, weight, full, (tol * bnorm) ** 2, budget, judged)
+    except LinearSolveError as exc:
+        raise _overflow(A, b) or exc from None

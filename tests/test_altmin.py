@@ -1,3 +1,4 @@
+import weakref
 from itertools import groupby
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from atseg import altmin
+from atseg import altmin, linsolve
 from atseg.altmin import convergence_indicator, run
 from atseg.energy import SQRT2, ModelKind, ModelParams, total_energy
 from atseg.errors import DegenerateInputError, InvalidInputError, LinearSolveError
@@ -255,6 +256,51 @@ class TestExtrapolation:
         totals = [e.breakdown.total for e in res.report.entries]
         slack = 1e-10 * (1.0 + totals[0])
         assert all(b <= a + slack for a, b in zip(totals, totals[1:]))
+
+
+def test_direct_run_holds_one_live_factor_per_system_kind(monkeypatch):
+    # The default at weights on 32^2 circles: 10 factorizations for 20 solves,
+    # so the run both reuses its factors and replaces them.  A factor must be
+    # gone before its successor is made, and none may outlive the run.
+    g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=32, ny=32, noise_sigma=0.1, seed=7))
+    p = ModelParams(alpha=1.0, beta=0.3, gamma=70.0, eps=3e-2, intensity_scale=1.0, model=ModelKind.FIRST_ORDER_AT)
+    u_systems, kind, solves = set(), [None], []
+    alive, alive_when_factoring = {"u": 0, "v": 0}, []
+
+    class Factor:
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    def gone(k):
+        alive[k] -= 1
+
+    def factoring(A, **kw):
+        alive_when_factoring.append(alive[kind[0]])
+        factor = Factor(splu(A, **kw))
+        alive[kind[0]] += 1
+        weakref.finalize(factor, gone, kind[0])
+        return factor
+
+    def tagged(*args, **kwargs):
+        sys = assemble_u_system(*args, **kwargs)
+        u_systems.add(id(sys))
+        return sys
+
+    def solving(sys, *args, **kwargs):
+        kind[0] = "u" if id(sys) in u_systems else "v"
+        u_systems.discard(id(sys))
+        solves.append(kind[0])
+        return solve(sys, *args, **kwargs)
+
+    splu = linsolve.splu
+    monkeypatch.setattr(linsolve, "splu", factoring)
+    monkeypatch.setattr(altmin, "assemble_u_system", tagged)
+    monkeypatch.setattr(altmin, "solve", solving)
+    res = run(g, p, solver="direct")
+    assert res.report.converged
+    assert 2 < len(alive_when_factoring) < len(solves)
+    assert alive_when_factoring == [0] * len(alive_when_factoring)
+    assert alive == {"u": 0, "v": 0}
 
 
 TOL, SOLVER_TOL = 1e-4, 1e-10  # run's default tol and solver_tol

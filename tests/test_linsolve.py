@@ -779,6 +779,64 @@ class TestDirectFactorization:
         assert r.converged == (r.residual <= tol or r.residual <= tol + floor)
 
 
+class TestFactorReuse:
+    def systems(self, monkeypatch, eps_held):
+        """The fourth-order v-system at eps 0.03 on 32^2 circles, a slot holding
+        the factor of the system at eps_held (None: its diagonal times 1.01),
+        and the list of factorizations made from then on."""
+        g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=32, ny=32, noise_sigma=0.1, seed=3))
+        p = functools.partial(params, model=ModelKind.SECOND_ORDER_LAPLACIAN, intensity_scale=1.0)
+        sys = assemble_v_system_second_order(g, p(eps=0.03))
+        if eps_held is None:
+            A = sys.matrix
+            held = LinearSystem(A + 0.01 * sp.diags(A.diagonal(), format="csr"), sys.rhs)
+        else:
+            held = assemble_v_system_second_order(g, p(eps=eps_held))
+        slot = linsolve.FactorSlot()
+        solve(held, method="direct", factor=slot)
+        factors = []
+        splu = linsolve.splu
+        monkeypatch.setattr(linsolve, "splu", lambda A, **kw: factors.append(splu(A, **kw)) or factors[-1])
+        return sys, slot, factors
+
+    def test_a_nearby_factor_preconditions_cg_without_factoring(self, monkeypatch):
+        sys, slot, factors = self.systems(monkeypatch, None)
+        held = slot.lu
+        r = solve(sys, tol=1e-10, method="direct", factor=slot)
+        assert r.converged and r.residual <= 1e-10
+        assert 1 < r.iterations <= linsolve.REUSE_ITERATIONS
+        assert factors == [] and slot.lu is held
+
+    def test_a_far_factor_is_replaced_by_an_exact_one(self, monkeypatch):
+        # The factor at eps 0.06 needs about 40 iterations at eps 0.03: the
+        # solve gives up after REUSE_ITERATIONS and factors, as one without a
+        # slot does, and the slot takes the new factor.
+        sys, slot, factors = self.systems(monkeypatch, 0.06)
+        r = solve(sys, tol=1e-10, method="direct", factor=slot)
+        assert len(factors) == 1 and slot.lu is factors[0]
+        plain = solve(sys, tol=1e-10, method="direct")
+        assert np.array_equal(r.field.values, plain.field.values)
+        assert (r.residual, r.iterations, r.converged) == (plain.residual, plain.iterations, plain.converged)
+
+
+@pytest.mark.parametrize("method", ["cg", "direct"])
+def test_rhs_whose_squares_underflow_is_solved(method):
+    # Every entry of b squares to 0, so ||b|| reads 0; b is still not 0.  The
+    # solve must return x, not 0, and x's residual relative to b, not an
+    # absolute one.  max|b| is a power of two, so b / max|b| and x / max|b|
+    # are exact and that relative residual can be recomputed.
+    grid = Grid2D(3, 3, 0.5)
+    A = (sp.identity(9, format="csr") - 0.1 * laplacian_matrix(grid)).tocsr()
+    m = 2.0**-600
+    b = np.random.default_rng(0).random(9) * m
+    b[0] = m
+    r = solve(LinearSystem(A, ScalarField(grid, b)), tol=1e-10, method=method)
+    x = r.field.values
+    assert r.converged
+    np.testing.assert_allclose(x / m, np.linalg.solve(A.toarray(), b / m), rtol=1e-12, atol=0)
+    assert r.residual == pytest.approx(np.linalg.norm(b / m - A @ (x / m)) / np.linalg.norm(b / m), rel=1e-6, abs=0)
+
+
 @pytest.mark.parametrize("eta", [0.0, None])
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_systems_are_exact_half_hessians(model, eta):
