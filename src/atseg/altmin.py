@@ -42,6 +42,7 @@ from .energy import EnergyBreakdown, ModelKind, ModelParams, total_energy
 from .errors import DegenerateInputError, InvalidInputError, LinearSolveError, require_count
 from .grid import ScalarField, same_grid
 from .linsolve import (
+    SOLVER_TOL,
     FactorSlot,
     SolveResult,
     assemble_u_system,
@@ -55,9 +56,9 @@ from .linsolve import (
 # Forcing term of the inner CG solves (Eisenstat & Walker, SIAM J. Sci.
 # Comput. 17(1), 1996), driven by the indicator: an iteration that follows
 # one with e_k >= TIGHTEN * tol solves to max(FORCING * min(1, e_k),
-# solver_tol), so the first (e_0 = inf) solves to FORCING, and under the
+# SOLVER_TOL), so the first (e_0 = inf) solves to FORCING, and under the
 # default tol every such tolerance lies in [3e-6, 3e-3].  Other iterations,
-# the iteration maxit and every "direct" solve run to solver_tol.  Measured
+# the iteration maxit and every "direct" solve run to SOLVER_TOL.  Measured
 # against a fixed 1e-6 on 28 CG cells (the 12-cell gate of ROADMAP item 1
 # with both models at 1/70, seed 0, and the noisy-cg weights at 128x128 and
 # 256x256 with both models, seed 12), summed over the cells on a shared
@@ -164,7 +165,7 @@ def run(
     u0: ScalarField | None = None,
     v0: ScalarField | None = None,
     solver: str = "cg",
-    solver_tol: float = 1e-10,
+    solver_tol: float = SOLVER_TOL,
 ) -> SegmentationResult:
     """Alternate the v and u half-steps from u = g, v = 1 until e_k < tol.
 
@@ -173,6 +174,8 @@ def run(
     factorization per system kind (v and u) for the run and reuses it as
     CG's preconditioner while that converges within
     linsolve.REUSE_ITERATIONS iterations, factoring afresh otherwise.
+    solver_tol is linsolve.SOLVER_TOL unless given; no caller in the package
+    gives it, and bench/checks.py reads its default from this signature.
     Direct solves run to relative residual solver_tol.  CG solves on
     iteration k+1 run to max(FORCING * min(1, e_k), solver_tol), with e_0 =
     inf, and to solver_tol on iteration maxit and on any iteration after one

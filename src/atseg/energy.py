@@ -1,5 +1,6 @@
-"""Discrete energies: coupled gradient term, edge-set (Modica-Mortola type) terms,
-gradient perturbation, fidelity, and the interpolation-inequality diagnostic.
+"""Discrete energies: coupled gradient term, one edge-set (Modica-Mortola type)
+term for both models (K = grad or L, weights from edge_weights), gradient
+perturbation, fidelity, and the interpolation-inequality diagnostic.
 
 All integrals use the rectangle sum h^2 * sum(.) over grid nodes with the same
 difference operators as the linear solvers, so each half-step of alternating
@@ -130,28 +131,20 @@ def edge_weights(model: ModelKind, params: ModelParams) -> tuple[float, float]:
     return beta / (SQRT2 * eps), beta * eps**3 / SQRT2
 
 
-def _edge_term(v: ScalarField, model: ModelKind, params: ModelParams, kv_sq: np.ndarray) -> float:
-    """(1/2) * integral of c0*(v-1)^2 + ck*kv_sq, with the model's edge_weights."""
-    c0, ck = edge_weights(model, params)
-    r = v.values - 1.0
-    return 0.5 * _cellsum(v.grid, c0 * (r * r) + ck * kv_sq)
-
-
-def mm_first_order(v: ScalarField, params: ModelParams) -> float:
-    """The at edge term, with K = grad, whatever params.model says."""
-    return _edge_term(v, ModelKind.FIRST_ORDER_AT, params, _grad_sq(v))
-
-
-def mm_second_order_laplacian(v: ScalarField, params: ModelParams) -> float:
-    """The laplacian edge term, with K = lap, whatever params.model says."""
+def _kv_sq(v: ScalarField, model: ModelKind) -> np.ndarray:
+    """|K v|^2 of the model's edge-set term: |grad v|^2 for at, (Lv)^2 for laplacian."""
+    if model is ModelKind.FIRST_ORDER_AT:
+        return _grad_sq(v)
     lv = laplacian(v).values
-    return _edge_term(v, ModelKind.SECOND_ORDER_LAPLACIAN, params, lv * lv)
+    return lv * lv
 
 
 def mm_term(v: ScalarField, params: ModelParams) -> float:
-    if params.model is ModelKind.FIRST_ORDER_AT:
-        return mm_first_order(v, params)
-    return mm_second_order_laplacian(v, params)
+    """The edge-set term of params.model, (1/2) * integral of
+    c0*(v-1)^2 + ck*|K v|^2 with (c0, ck) from edge_weights."""
+    c0, ck = edge_weights(params.model, params)
+    r = v.values - 1.0
+    return 0.5 * _cellsum(v.grid, c0 * (r * r) + ck * _kv_sq(v, params.model))
 
 
 def total_energy(u: ScalarField, v: ScalarField, g: ScalarField, params: ModelParams) -> EnergyBreakdown:
@@ -185,7 +178,6 @@ def gagliardo_ratio(v: ScalarField, params: ModelParams) -> float:
     r = v.values - 1.0
     if np.max(np.abs(r)) <= ROUNDING_LEVEL:
         raise DegenerateInputError("ratio undefined for v within rounding of 1")
-    num = eps * _cellsum(grid, _grad_sq(v))
-    lv = laplacian(v).values
-    den = _cellsum(grid, r * r) / eps + eps**3 * _cellsum(grid, lv * lv)
+    num = eps * _cellsum(grid, _kv_sq(v, ModelKind.FIRST_ORDER_AT))
+    den = _cellsum(grid, r * r) / eps + eps**3 * _cellsum(grid, _kv_sq(v, ModelKind.SECOND_ORDER_LAPLACIAN))
     return num / den

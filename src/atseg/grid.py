@@ -121,9 +121,6 @@ class VectorField2:
                 raise InvalidInputError("vector field values must be finite")
             object.__setattr__(self, name, _freeze(c))
 
-    def x_matrix(self) -> np.ndarray:
-        return self.x.reshape(self.grid.ny, self.grid.nx)
-
 
 def same_grid(*fields) -> Grid2D:
     grids = {f.grid for f in fields}

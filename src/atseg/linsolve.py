@@ -523,6 +523,10 @@ def splu(A: sp.csc_matrix, **options):
 # The methods solve takes, its default first; the CLI's --solver choices.
 SOLVER_METHODS = ("cg", "direct")
 
+# solve's default relative residual, which every tight solve of altmin.run
+# reaches: the accuracy of a converged run's last recorded state.
+SOLVER_TOL = 1e-10
+
 # CG iterations a direct solve spends with a held factor as preconditioner
 # before it factors its own matrix.  Within one eps of the benchmark's sweep
 # (laplacian, 128^2 strip) such solves take 2-5 iterations to 1e-10; a factor
@@ -539,13 +543,13 @@ REUSE_ITERATIONS = 10
 
 def solve(
     sys: LinearSystem,
-    tol: float = 1e-10,
+    tol: float = SOLVER_TOL,
     maxit: int | None = None,
     method: str = "cg",
     x0: ScalarField | None = None,
     factor: FactorSlot | None = None,
 ) -> SolveResult:
-    """Solve an SPD system to relative residual <= tol.
+    """Solve an SPD system to relative residual <= tol (default SOLVER_TOL).
 
     method "cg" runs conjugate gradients from x0 (zero when None), in a
     loop of the package's own whose inner products and norms skip BLAS: its

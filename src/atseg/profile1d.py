@@ -9,8 +9,6 @@ minimization oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -127,5 +125,8 @@ def hermite_bridge_energy(w: float, z: float) -> float:
     It is evaluated exactly in rational arithmetic; it upper-bounds the true
     minimal bridge cost and tends to 0 as (w, z) -> (1, 0).
     """
+    # Imported here: no command calls this, and fractions imports decimal.
+    from fractions import Fraction
+
     a, b = Fraction(w) - 1, Fraction(z)
     return float(Fraction(433, 35) * a * a + Fraction(1271, 105) * a * b + Fraction(421, 105) * b * b)

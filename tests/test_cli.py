@@ -496,17 +496,17 @@ def test_profile_too_many_samples():
 ON_DEMAND = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse.linalg")
 
 
-def _on_demand_loaded(tmp_path, model=None, argv=None):
-    """Which ON_DEMAND modules a fresh interpreter holds after importing the
-    CLI and, if a model is given, segmenting a small phantom with it, or
-    else, if argv is given, running that command."""
+def _on_demand_loaded(tmp_path, model=None, argv=None, modules=ON_DEMAND):
+    """Which of modules a fresh interpreter holds after importing the CLI
+    and, if a model is given, segmenting a small phantom with it, or else,
+    if argv is given, running that command."""
     code = "import sys, atseg.cli"
     if model is not None:
         img = synth_phantom(tmp_path, nx=32, ny=32, sigma=0.1, seed=7)
         argv = ["segment", str(img), "--output-dir", str(tmp_path / "out"), "--model", model]
     if argv is not None:
         code += f"; assert atseg.cli.main({argv!r}) == 0"
-    code += f"; print(sorted(m for m in {ON_DEMAND!r} if m in sys.modules))"
+    code += f"; print(sorted(m for m in {modules!r} if m in sys.modules))"
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -529,6 +529,12 @@ def test_cli_import_leaves_special_functions_unloaded(tmp_path):
     # Only a noisy phantom draws from the inverse normal CDF; every other
     # command starts without scipy.special.
     assert "scipy.special" not in _on_demand_loaded(tmp_path)
+
+
+def test_cli_import_leaves_fractions_unloaded(tmp_path):
+    # Only profile1d.hermite_bridge_energy, which no command calls, computes
+    # in rationals; fractions would bring decimal along at every start-up.
+    assert _on_demand_loaded(tmp_path, modules=("fractions", "decimal")) == []
 
 
 @pytest.mark.parametrize("model", [None, "at", "laplacian"], ids=["import", "segment-at", "segment-laplacian"])

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from atseg.energy import (
     ModelParams,
     edge_weights,
     gagliardo_ratio,
-    mm_first_order,
-    mm_second_order_laplacian,
+    mm_term,
     total_energy,
 )
 from atseg.errors import DegenerateInputError, GridMismatchError, InvalidInputError
@@ -62,16 +62,18 @@ class TestEdgeSetTerms:
         g = Grid2D(16, 16, 1 / 15)
         v = ScalarField.constant(g, 1.0)
         p = params()
-        assert mm_first_order(v, p) == 0.0
-        assert mm_second_order_laplacian(v, p) == 0.0
+        assert mm_term(v, replace(p, model=ModelKind.FIRST_ORDER_AT)) == 0.0
+        assert mm_term(v, replace(p, model=ModelKind.SECOND_ORDER_LAPLACIAN)) == 0.0
 
     def test_constant_zero_field(self):
         g = Grid2D(64, 64, 1 / 63)
         v = ScalarField.constant(g, 0.0)
         p = params()
         area = g.npoints * g.h**2
-        assert mm_first_order(v, p) == pytest.approx(0.5 * p.beta / p.eps * area, rel=1e-12)
-        assert mm_second_order_laplacian(v, p) == pytest.approx(
+        assert mm_term(v, replace(p, model=ModelKind.FIRST_ORDER_AT)) == pytest.approx(
+            0.5 * p.beta / p.eps * area, rel=1e-12
+        )
+        assert mm_term(v, replace(p, model=ModelKind.SECOND_ORDER_LAPLACIAN)) == pytest.approx(
             p.beta / (2 * SQRT2) / p.eps * area, rel=1e-12
         )
 
@@ -100,7 +102,7 @@ class TestEdgeSetTerms:
         x = np.tile(g.xcoords(), (ny, 1))
         v = ScalarField.from_matrix(g, 1.0 - np.exp(-np.abs(x - 0.5) / p.eps))
         # the rectangle rule assigns measure ny*h to a vertical line
-        cost = mm_first_order(v, p) / (ny * g.h)
+        cost = mm_term(v, replace(p, model=ModelKind.FIRST_ORDER_AT)) / (ny * g.h)
         assert cost == pytest.approx(p.beta, rel=0.10)
 
     def test_second_order_transition_cost_per_unit_length(self):
@@ -109,7 +111,7 @@ class TestEdgeSetTerms:
         p = params(eps=0.02, model=ModelKind.SECOND_ORDER_LAPLACIAN)
         x = np.tile(g.xcoords(), (ny, 1))
         v = ScalarField.from_matrix(g, closed_form_profile(np.abs(x - 0.5) / p.eps))
-        cost = mm_second_order_laplacian(v, p) / (ny * g.h)
+        cost = mm_term(v, replace(p, model=ModelKind.SECOND_ORDER_LAPLACIAN)) / (ny * g.h)
         assert cost == pytest.approx(p.beta, rel=0.10)
 
 

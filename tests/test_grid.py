@@ -61,7 +61,7 @@ class TestGradient:
         g = Grid2D(8, 6, 0.37)
         cols = np.tile(np.arange(8) * g.h, (6, 1))
         grad = grad_forward(ScalarField.from_matrix(g, cols))
-        gx = grad.x_matrix()
+        gx = grad.x.reshape(g.ny, g.nx)
         assert np.allclose(gx[:, :-1], 1.0, atol=1e-14)
         assert np.all(gx[:, -1] == 0.0)
         assert np.all(grad.y == 0.0)
