@@ -9,10 +9,13 @@ A system's sparsity pattern depends only on the grid: L's for the u-system
 and the first-order v-system, L^2's for the fourth-order one.  The patterns,
 their diagonal positions, the u-system's value map, the red-black split of
 L's pattern (with the pattern of its transpose) and the multigrid
-transfers are cached per grid.  Each assembly writes only a new values
+transfers are cached per grid, and per grid and boundary treatment the
+Galerkin coarse operators of the fourth-order system's off-diagonal part,
+which is fixed up to a scale.  Each assembly writes only a new values
 array on the shared, read-only index arrays and names the pattern it wrote
 on, and a solve of such a system reads the diagonal and split from the
-cache, so that a CG solve pays little besides its iterations.
+cache, so that a CG solve pays little besides its iterations; a V-cycle's
+build restricts only the diagonal.
 
 Solver policy: conjugate gradients at every grid size, chosen from the
 matrix.  A matrix whose off-diagonal entries all join points of opposite
@@ -143,6 +146,19 @@ def gram_map(grid: Grid2D) -> sp.csr_matrix:
     return read_only(sp.csc_matrix((signs, pos, 2 * D.indptr), shape=(L.nnz, D.shape[0])).tocsr())
 
 
+@functools.lru_cache(maxsize=8)
+def frame_couplings(grid: Grid2D) -> np.ndarray:
+    """Where L^2's off-diagonal entries in a frame point's row or column sit
+    in its data: the entries that dirichlet1 zeroes."""
+    P = bilaplacian_matrix(grid)
+    frame = np.zeros(grid.npoints, dtype=bool)
+    frame[boundary_indices(grid)] = True
+    rows = np.repeat(np.arange(grid.npoints, dtype=P.indices.dtype), np.diff(P.indptr))
+    pos = np.flatnonzero((frame[rows] | frame[P.indices]) & (rows != P.indices))
+    pos.setflags(write=False)
+    return pos
+
+
 def _on_pattern(P: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
     """The matrix with P's shared, read-only index arrays and the values data,
     one per entry of P.  A shallow copy of P: the constructor would check the
@@ -248,7 +264,7 @@ def _v_system(u: ScalarField, params: ModelParams, model: ModelKind) -> LinearSy
         boundary[boundary_indices(grid)] = True
         b -= A @ boundary.astype(float)
         b[boundary] = 1.0
-        A.data[np.repeat(boundary, np.diff(A.indptr)) | boundary[A.indices]] = 0.0
+        A.data[frame_couplings(grid)] = 0.0
         A.data[diagonal_positions(grid, True)[boundary]] = 1.0
     return LinearSystem(A, ScalarField(grid, b), second_order=second_order)
 
@@ -307,16 +323,24 @@ def _interpolation_1d(n: int) -> sp.csr_matrix:
 
 
 @functools.lru_cache(maxsize=8)
-def prolongations(grid: Grid2D) -> tuple[sp.csr_matrix, ...]:
-    """Bilinear prolongations P_k from level k+1 to level k, finest first,
-    halving each side longer than MG_COARSEST until none is left."""
+def _interpolations(grid: Grid2D) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
+    """The interpolations (along x, along y) from level k+1 to level k,
+    finest first, halving each side longer than MG_COARSEST until none is
+    left."""
     out = []
     nx, ny = grid.nx, grid.ny
     while max(nx, ny) > MG_COARSEST:
         Px, Py = _interpolation_1d(nx), _interpolation_1d(ny)
-        out.append(sp.kron(Py, Px, format="csr"))
+        out.append((Px, Py))
         nx, ny = Px.shape[1], Py.shape[1]
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=8)
+def prolongations(grid: Grid2D) -> tuple[sp.csr_matrix, ...]:
+    """Bilinear prolongations P_k = Py (x) Px from level k+1 to level k,
+    finest first."""
+    return tuple(sp.kron(Py, Px, format="csr") for Px, Py in _interpolations(grid))
 
 
 @functools.lru_cache(maxsize=8)
@@ -341,23 +365,173 @@ def _abs(A: sp.csr_matrix) -> sp.csr_matrix:
     return _on_pattern(A, np.abs(A.data))
 
 
+def _pair_products(Q: np.ndarray) -> sp.csr_matrix:
+    """The rows W_e[J] = Q[:, J] * Q[:, J + e] for e = -1, 0, 1, stacked e
+    first, zero where J + e is no column of Q.  A composite of interpolations
+    (_interpolation_1d) joins at most two adjacent columns in each row, so
+    these are all the products of two entries of a row of Q."""
+    W = np.zeros((3, Q.shape[1], Q.shape[0]))
+    W[0, 1:] = (Q[:, 1:] * Q[:, :-1]).T
+    W[1] = (Q * Q).T
+    W[2, :-1] = (Q[:, :-1] * Q[:, 1:]).T
+    return read_only(sp.csr_matrix(W.reshape(-1, Q.shape[0])))
+
+
+@functools.lru_cache(maxsize=8)
+def diagonal_transfers(grid: Grid2D) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
+    """For each coarse level k, the pair products (Cx, Cy) of the composite
+    interpolations Qx, Qy from level k to the grid, so that T_k =
+    (Qy (x) Qx)^T diag(a) (Qy (x) Qx), the Galerkin operator of diag(a) on
+    level k, joins point (J, I) to (J + ey, I + ex) by entry (ex, I, ey, J)
+    of Cx (Cy a)^T, for a the grid's ny x nx array of diagonal values."""
+    out, Qx, Qy = [], None, None
+    for Px, Py in _interpolations(grid):
+        Qx, Qy = (Px, Py) if Qx is None else (Qx @ Px, Qy @ Py)
+        out.append((_pair_products(Qx.toarray()), _pair_products(Qy.toarray())))
+    return tuple(out)
+
+
+class Hierarchy(NamedTuple):
+    """The Galerkin hierarchy of the off-diagonal part K of a matrix: the l1
+    row sums of K, and for each coarse level k the operator G_k =
+    R G_{k-1} P, G_0 = K, written on U_k, the union of its pattern and the
+    9-point one of T_k (diagonal_transfers), with the position in U_k's data
+    of each entry of T_k in the order of Cx (Cy a)^T, and U_k's size for
+    the entries of that product that join a point to one off the grid."""
+
+    rowsum: np.ndarray
+    coarse: tuple[tuple[sp.csr_matrix, np.ndarray], ...]
+
+
+def _galerkin_hierarchy(K: sp.csr_matrix, grid: Grid2D) -> Hierarchy:
+    rowsum = _abs(K) @ np.ones(K.shape[1])
+    rowsum.setflags(write=False)
+    coarse, G = [], K
+    for P, R, (Px, Py) in zip(prolongations(grid), restrictions(grid), _interpolations(grid)):
+        G = R @ G @ P
+        G.sort_indices()
+        mx, my = Px.shape[1], Py.shape[1]
+        n = mx * my
+        # Keys row * n + column.  Taken in the order (J, I, ey, ex), T_k's are
+        # sorted, as G's are, so every search below is one pass of a merge.
+        row, col, ey, ex = np.ix_(range(my), range(mx), range(-1, 2), range(-1, 2))
+        inside = (row + ey >= 0) & (row + ey < my) & (col + ex >= 0) & (col + ex < mx)
+        t = np.broadcast_to((row * mx + col) * n + (row + ey) * mx + col + ex, inside.shape)[inside]
+        g = np.repeat(np.arange(n, dtype=np.int64), np.diff(G.indptr)) * n + G.indices
+        below = np.searchsorted(g, t)  # G's keys below each of T_k's
+        extra = t[g[np.minimum(below, G.nnz - 1)] != t] if G.nnz else t  # T_k's keys not in G
+        g_at, t_at = np.arange(G.nnz) + np.searchsorted(extra, g), below + np.searchsorted(extra, t)
+        indices = np.empty(G.nnz + extra.size, dtype=G.indices.dtype)  # of the union, sorted
+        indices[g_at] = G.indices
+        indices[t_at] = t % n
+        indptr = G.indptr + np.searchsorted(extra, np.arange(n + 1) * n)
+        U = sp.csr_matrix((np.zeros(indices.size), indices, indptr), (n, n))
+        U.data[g_at] = G.data
+        pos = np.full(9 * n, indices.size)
+        pos[np.broadcast_to((((ex + 1) * mx + col) * 3 + ey + 1) * my + row, inside.shape)[inside]] = t_at
+        pos.setflags(write=False)
+        coarse.append((read_only(U), pos))
+    return Hierarchy(rowsum, tuple(coarse))
+
+
+@functools.lru_cache(maxsize=8)
+def stencil_hierarchy(grid: Grid2D, bc: BoundaryKind) -> tuple[int | None, Hierarchy]:
+    """The Galerkin hierarchy of K_bc, the off-diagonal part of L^2 with,
+    under dirichlet1, the frame's rows and columns zeroed as _v_system zeroes
+    them; and the position in L^2's data of K_bc's largest entry, None when
+    K_bc = 0.  Every fourth-order v-system is ck K_bc + diag(a)."""
+    L2 = bilaplacian_matrix(grid)
+    data = L2.data.copy()
+    data[diagonal_positions(grid, True)] = 0.0
+    if bc is BoundaryKind.DIRICHLET_ONE:
+        data[frame_couplings(grid)] = 0.0
+    ref = int(np.argmax(np.abs(data)))
+    return (ref if data[ref] else None), _galerkin_hierarchy(_on_pattern(L2, data), grid)
+
+
+def _stencil_split(A: sp.csr_matrix, grid: Grid2D) -> tuple[float, Hierarchy] | None:
+    """(c, the cached hierarchy of K_bc) when A = c K_bc + diag(a) exactly
+    for one bc, on the index arrays of L^2's cached pattern; None otherwise.
+
+    A's off-diagonal values are compared with c L^2's in full at every call:
+    an assembled matrix can be edited in place.  Dirichlet1 is told from
+    Neumann by zeros on all of frame_couplings.  c is read off K_bc's
+    largest entry; that division can miss the ck an assembler multiplied by,
+    by an ulp, and then c L^2 misses some entries, which one of c's
+    neighbours hits.
+    """
+    L2 = bilaplacian_matrix(grid)
+    if A.indices is not L2.indices or A.indptr is not L2.indptr:
+        return None
+    frame = frame_couplings(grid)
+    dirichlet = not np.any(A.data[frame])
+    ref, hierarchy = stencil_hierarchy(grid, BoundaryKind.DIRICHLET_ONE if dirichlet else BoundaryKind.NEUMANN)
+    c = 0.0 if ref is None else A.data[ref] / L2.data[ref]
+    skip = (diagonal_positions(grid, True), frame) if dirichlet else (diagonal_positions(grid, True),)
+    for c in (c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)):
+        if _equal_but_at(A.data, c, L2.data, skip):
+            return float(c), hierarchy
+    return None
+
+
+# Entries _equal_but_at compares at a time.  Its temporaries then stay well
+# below glibc's 128 KiB mmap threshold and are reused from the heap: whole-array
+# ones were fresh pages at every call, which took the comparison from 0.5 to
+# 1.2 ms inside a noisy-cg run at 128^2.
+_CHUNK = 8192
+
+
+def _equal_but_at(x: np.ndarray, c: float, y: np.ndarray, skip: tuple[np.ndarray, ...]) -> bool:
+    """Whether x == c * y entry for entry, except at the positions in skip
+    (sorted arrays), where anything goes."""
+    starts = range(0, x.size, _CHUNK)
+    parts = [np.split(p, np.searchsorted(p, starts[1:])) for p in skip]
+    for s, *at in zip(starts, *parts):
+        expected = c * y[s : s + _CHUNK]
+        for p in at:
+            expected[p - s] = x[p]
+        if not np.array_equal(expected, x[s : s + _CHUNK]):
+            return False
+    return True
+
+
 def multigrid_preconditioner(A: sp.csr_matrix, grid: Grid2D):
     """Symmetric V-cycle r -> M r for an SPD matrix A on grid, with which
     solve preconditions CG on every matrix it cannot split red-black.
 
-    Galerkin coarse operators P^T A P, the same Chebyshev smoother before and
-    after each coarse correction, and on the coarsest level, which has at
-    most MG_COARSEST^2 unknowns, a product with the dense inverse L^-T L^-1
-    of its Cholesky factor L: symmetric by construction, and numpy's, so
-    that no CG run loads scipy.linalg.  The l1 row sums D bound
+    Galerkin coarse operators A_k = R A_{k-1} P, the same Chebyshev smoother
+    before and after each coarse correction, and on the coarsest level, which
+    has at most MG_COARSEST^2 unknowns, a product with the dense inverse
+    L^-T L^-1 of its Cholesky factor L: symmetric by construction, and
+    numpy's, so that no CG run loads scipy.linalg.  The l1 row sums D bound
     A from above, so D^-1 A has its spectrum in (0, 1], where the smoother's
     residual polynomial stays below 1 in magnitude: every smoothing contracts
     in the A-norm, and M is symmetric positive definite.
+
+    A_k is linear in A, so A = c K + diag(a) is restricted by parts: A_k =
+    c G_k + T_k, with G_k from K's Hierarchy and T_k, the only products made
+    per call, two products of the pair products with a.  A fourth-order
+    v-system is c K_bc + diag(a), and the hierarchy of K_bc is cached per
+    grid and bc (stencil_hierarchy); any other matrix has the hierarchy of
+    its off-diagonal part computed here, with c = 1.
     """
+    split = _stencil_split(A, grid)
+    if split is None:
+        a = A.diagonal()
+        c, hierarchy = 1.0, _galerkin_hierarchy(A - sp.diags(a, format="csr"), grid)
+    else:
+        (c, hierarchy), a = split, A.data[diagonal_positions(grid, True)]
+    rowsum = abs(c) * hierarchy.rowsum + np.abs(a)
+    a = a.reshape(grid.ny, grid.nx)
     levels = []
-    for P, R in zip(prolongations(grid), restrictions(grid)):
-        levels.append((A, _WEIGHTS[:, None] / (_abs(A) @ np.ones(A.shape[1])), P, R))
-        A = (R @ A @ P).tocsr()
+    transfers = zip(prolongations(grid), restrictions(grid), diagonal_transfers(grid), hierarchy.coarse)
+    for P, R, (Cx, Cy), (U, pos) in transfers:
+        levels.append((A, _WEIGHTS[:, None] / rowsum, P, R))
+        data = np.zeros(U.nnz + 1)  # the last slot takes T_k's entries off the grid
+        np.multiply(c, U.data, out=data[:-1])
+        np.add.at(data, pos, (Cx @ (Cy @ a).T).ravel())
+        A = _on_pattern(U, data[:-1])
+        rowsum = _abs(A) @ np.ones(A.shape[1])
     try:
         Li = np.linalg.inv(np.linalg.cholesky(A.toarray()))
     except np.linalg.LinAlgError:

@@ -5,7 +5,10 @@ that property on random grids, thin 2xN and Nx2 ones included, for both
 boundary treatments, that its smoother applies the Chebyshev polynomial
 and contracts in the A-norm, that the cycle is the one written out densely,
 and that the preconditioned solve reaches the direct solution within the
-accuracy its tolerance guarantees.
+accuracy its tolerance guarantees.  The coarse operators of a fourth-order
+v-system come from a per-grid cache of its fixed stencil's hierarchy: they
+must equal the plain Galerkin products, and the cache must be used, and
+bypassed by any matrix of another form.
 """
 
 import numpy as np
@@ -17,16 +20,18 @@ from hypothesis.extra.numpy import arrays
 
 from atseg.energy import SQRT2, BoundaryKind, ModelKind, ModelParams
 from atseg.errors import LinearSolveError
-from atseg.grid import Grid2D, ScalarField
+from atseg.grid import Grid2D, ScalarField, bilaplacian_matrix
 from atseg.linsolve import (
     _WEIGHTS,
     _smooth,
+    _stencil_split,
     assemble_v_system_second_order,
     diagonal_positions,
     multigrid_preconditioner,
     prolongations,
     restrictions,
     solve,
+    stencil_hierarchy,
 )
 from atseg.synth import PhantomKind, PhantomSpec, generate
 
@@ -214,3 +219,166 @@ def test_cold_noisy_solve_takes_at_most_22_iterations():
                         model=ModelKind.SECOND_ORDER_LAPLACIAN, bc=bc)
         r = solve(assemble_v_system_second_order(g, p), tol=1e-10, method="cg")
         assert r.converged and r.iterations <= 22, (bc, r.iterations)
+
+
+def galerkin_levels(A, grid):
+    """The plain hierarchy: A_0 = A, A_k = R A_{k-1} P, by sparse products."""
+    out = [A]
+    for P, R in zip(prolongations(grid), restrictions(grid)):
+        out.append((R @ out[-1] @ P).tocsr())
+    return out
+
+
+def assert_levels_are_galerkin(A, grid, rtol=1e-13):
+    # The cycle's levels and coarse inverse, against those of the plain
+    # products: functools.partial(_vcycle, levels, coarse).
+    levels, coarse = multigrid_preconditioner(A, grid).args
+    expected = galerkin_levels(A, grid)
+    assert len(levels) == len(expected) - 1
+    for (Ak, *_), B in zip(levels, expected):
+        assert abs(Ak - B).max() <= rtol * abs(B).max()
+    inverse = np.linalg.inv(expected[-1].toarray())
+    assert np.max(np.abs(coarse - inverse)) <= 1e3 * rtol * np.max(np.abs(inverse))
+
+
+@settings(max_examples=40, deadline=None)
+@given(v_systems())
+def test_cached_build_is_the_galerkin_hierarchy(case):
+    # Grids of sides 2 to 40 have from zero coarse levels (both sides at most
+    # 8) to three; the 2xN and Nx2 ones have no interior under dirichlet1, so
+    # K_bc = 0 there.
+    sys, _ = case
+    assert _stencil_split(sys.matrix, sys.grid) is not None
+    assert_levels_are_galerkin(sys.matrix, sys.grid)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (5, 3), (12, 12), (9, 5), (2, 40), (40, 2), (33, 17)])
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+def test_cached_build_on_shallow_and_odd_grids(shape, bc):
+    grid = Grid2D.for_image(*shape)
+    u = ScalarField(grid, np.random.default_rng(sum(shape)).random(grid.npoints))
+    sys = assemble_v_system_second_order(u, v_params(grid, bc))
+    assert _stencil_split(sys.matrix, grid) is not None
+    assert_levels_are_galerkin(sys.matrix, grid)
+    assert solve(sys, tol=1e-10, method="cg").converged
+
+
+def test_interleaved_systems_get_their_own_coarse_operators():
+    # The sweep's case: one grid, two eps values and both boundary
+    # treatments, built in turn and again in another order, each against its
+    # own plain products.
+    g, _ = generate(PhantomSpec(PhantomKind.TWO_CIRCLES, nx=40, ny=40, noise_sigma=0.1, seed=4))
+    systems = []
+    for eps in (0.06, 0.03):
+        for bc in BoundaryKind:
+            p = ModelParams(alpha=0.1, beta=0.3, gamma=100.0, eps=eps, intensity_scale=1.0,
+                            model=ModelKind.SECOND_ORDER_LAPLACIAN, bc=bc)
+            systems.append(assemble_v_system_second_order(g, p))
+    for sys in systems + systems[::-1]:
+        assert _stencil_split(sys.matrix, sys.grid) is not None
+        assert_levels_are_galerkin(sys.matrix, sys.grid)
+
+
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+def test_every_assembled_scale_is_recognised(bc):
+    # ck multiplies L^2's entries; read back off one entry by a division, it
+    # misses ck by an ulp for a few percent of these weights, and then misses
+    # other entries of ck L^2.
+    grid = Grid2D.for_image(20, 20)
+    for beta in np.random.default_rng(9).uniform(0.01, 10.0, 200):
+        p = ModelParams(alpha=0.1, beta=beta, gamma=100.0, eps=0.05, intensity_scale=1.0,
+                        model=ModelKind.SECOND_ORDER_LAPLACIAN, bc=bc)
+        sys = assemble_v_system_second_order(ScalarField.constant(grid, 0.5), p)
+        assert _stencil_split(sys.matrix, grid) is not None, beta
+
+
+class SparseProducts:
+    """Records the shapes of every product of two sparse matrices."""
+
+    def __init__(self, monkeypatch):
+        self.shapes = []
+        matmul = sp.csr_matrix.__matmul__
+
+        def recording(a, b):
+            if sp.issparse(b):
+                self.shapes.append((a.shape, b.shape))
+            return matmul(a, b)
+
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", recording)
+
+    def with_square(self, n):
+        return [s for s in self.shapes if (n, n) in s]
+
+
+def test_second_solve_reads_the_cached_products(monkeypatch):
+    grid = Grid2D.for_image(30, 22)
+    u = ScalarField(grid, np.random.default_rng(2).random(grid.npoints))
+    sys = assemble_v_system_second_order(u, v_params(grid, BoundaryKind.NEUMANN))
+    stencil_hierarchy.cache_clear()
+    products = SparseProducts(monkeypatch)
+    solve(sys, method="cg")
+    assert products.with_square(grid.npoints)  # the first solve builds the cache
+    products.shapes.clear()
+    later = ScalarField(grid, u.values[::-1].copy())
+    other = assemble_v_system_second_order(later, v_params(grid, BoundaryKind.NEUMANN))
+    assert solve(other, method="cg").converged
+    assert products.with_square(grid.npoints) == []
+
+
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+def test_edited_off_diagonal_entry_takes_the_computed_products(monkeypatch, bc):
+    # One entry one ulp away from c K_bc: no longer the cached form.
+    grid = Grid2D.for_image(30, 22)
+    u = ScalarField(grid, np.random.default_rng(3).random(grid.npoints))
+    A = assemble_v_system_second_order(u, v_params(grid, bc)).matrix
+    multigrid_preconditioner(A, grid)  # the cache is built
+    off = np.setdiff1d(np.arange(A.nnz), diagonal_positions(grid, True))
+    k = off[np.argmax(np.abs(A.data[off]))]
+    A.data[k] = np.nextafter(A.data[k], np.inf)
+    assert _stencil_split(A, grid) is None
+    products = SparseProducts(monkeypatch)
+    assert_levels_are_galerkin(A, grid)
+    assert products.with_square(grid.npoints)
+
+
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+def test_an_edit_anywhere_is_seen(bc):
+    # The comparison runs over L^2's data a chunk at a time; at 64x64 that
+    # is several chunks, and an edit in any of them must count.
+    grid = Grid2D.for_image(64, 64)
+    u = ScalarField(grid, np.random.default_rng(6).random(grid.npoints))
+    A = assemble_v_system_second_order(u, v_params(grid, bc)).matrix
+    assert _stencil_split(A, grid) is not None
+    off = np.flatnonzero(A.data)
+    off = np.setdiff1d(off, diagonal_positions(grid, True))
+    for k in off[[0, off.size // 3, off.size // 2, -1]]:
+        kept = A.data[k]
+        A.data[k] = np.nextafter(kept, np.inf)
+        assert _stencil_split(A, grid) is None, k
+        A.data[k] = kept
+    assert _stencil_split(A, grid) is not None
+
+
+def test_matrix_off_the_shared_pattern_takes_the_computed_products(monkeypatch):
+    # Equal values on copied index arrays: the cache is keyed to the pattern
+    # that the assembler shares.
+    grid = Grid2D.for_image(30, 22)
+    u = ScalarField(grid, np.random.default_rng(4).random(grid.npoints))
+    A = assemble_v_system_second_order(u, v_params(grid, BoundaryKind.NEUMANN)).matrix.copy()
+    assert A.indices is not bilaplacian_matrix(grid).indices
+    assert _stencil_split(A, grid) is None
+    products = SparseProducts(monkeypatch)
+    assert_levels_are_galerkin(A, grid)
+    assert products.with_square(grid.npoints)
+
+
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+def test_cache_holds_fewer_entries_than_the_bilaplacian(bc):
+    # Linear maps from A's values to every level's would hold about 1.6M
+    # entries at this size; the hierarchy of the fixed stencil holds the
+    # coarse operators, the positions of the diagonal part's entries in
+    # them and the fine row sums.
+    grid = Grid2D.for_image(128, 128)
+    _, hierarchy = stencil_hierarchy(grid, bc)
+    entries = hierarchy.rowsum.size + sum(U.nnz + pos.size for U, pos in hierarchy.coarse)
+    assert entries < bilaplacian_matrix(grid).nnz
